@@ -10,6 +10,7 @@
 //	namclient -servers :7000,:7001 del 42 4200
 //	namclient -servers :7000,:7001 scan 100 200
 //	namclient -servers :7000,:7001 bench -clients 8 -seconds 3
+//	namclient -servers :7000,:7001 bench -clients 1 -inflight 8
 package main
 
 import (
@@ -184,26 +185,56 @@ func main() {
 		clients := fs.Int("clients", 4, "concurrent client goroutines")
 		seconds := fs.Int("seconds", 3, "duration")
 		size := fs.Int("size", 100000, "key space (must match build -size)")
+		inflight := fs.Int("inflight", 0, "lookups each client keeps in flight through doorbell batches (-design fine; 0 = one at a time)")
 		fs.Parse(args[1:])
+		if *inflight > 0 && *design != "fine" {
+			log.Fatal("namclient: bench -inflight is for -design fine")
+		}
 		var ops atomic.Int64
 		stop := make(chan struct{})
 		for c := 0; c < *clients; c++ {
 			c := c
 			go func() {
-				idx, ep := client(c)
-				defer ep.Close()
 				gen, err := workload.NewGenerator(workload.Config{
 					Mix: workload.WorkloadA, DataSize: uint64(*size), Seed: 99, Clients: *clients,
 				}, c)
 				check(err)
-				for {
+				running := func() bool {
 					select {
 					case <-stop:
-						return
+						return false
 					default:
+						return true
 					}
-					op := gen.Next()
-					if _, err := idx.Lookup(op.Key); err != nil {
+				}
+				if *inflight > 0 {
+					// The pipelined client embeds its own recovery and needs
+					// the connection's native post/poll surface, which
+					// retry.Endpoint does not forward.
+					ep := tcpnet.Dial(addrs)
+					defer ep.Close()
+					pipe := fine.NewPipelinedClient(ep, rdma.NopEnv{}, cat, c, *inflight)
+					var failed error
+					done := func(_ []uint64, err error) {
+						if err != nil {
+							failed = err
+						} else {
+							ops.Add(1)
+						}
+					}
+					for failed == nil && running() {
+						pipe.Lookup(gen.Next().Key, done)
+					}
+					pipe.Drain()
+					if failed != nil {
+						log.Printf("client %d: %v", c, failed)
+					}
+					return
+				}
+				idx, ep := client(c)
+				defer ep.Close()
+				for running() {
+					if _, err := idx.Lookup(gen.Next().Key); err != nil {
 						log.Printf("client %d: %v", c, err)
 						return
 					}
@@ -214,8 +245,8 @@ func main() {
 		time.Sleep(time.Duration(*seconds) * time.Second)
 		close(stop)
 		total := ops.Load()
-		fmt.Printf("%d lookups in %ds with %d clients: %.0f lookups/s (wall clock, TCP transport)\n",
-			total, *seconds, *clients, float64(total)/float64(*seconds))
+		fmt.Printf("%d lookups in %ds with %d clients, %d in flight each: %.0f lookups/s (wall clock, TCP transport)\n",
+			total, *seconds, *clients, max(*inflight, 1), float64(total)/float64(*seconds))
 		fmt.Printf("client-side recovery: verb_retries=%d qp_reconnects=%d op_recoveries=%d\n",
 			clientRec.Retries(), clientRec.Reconnects(), clientRec.OpRecoveries())
 
@@ -290,7 +321,9 @@ commands:
   put    <key> <value>          insert
   del    <key> <value>          delete one entry
   scan   <lo> <hi>              range scan (first 1000 entries)
-  bench  -clients N -seconds S  closed-loop point-query benchmark
+  bench  -clients N -seconds S [-inflight K]
+                                closed-loop point-query benchmark; K > 0 keeps K
+                                lookups per client in flight (doorbell batches)
   stats                         fetch each server's live telemetry counters
   check                         verify tree invariants`)
 	os.Exit(2)

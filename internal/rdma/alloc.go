@@ -66,17 +66,29 @@ func (a *Allocator) Alloc(n int) (uint64, error) {
 // the bump pointer — because accepting one would hand the same words to two
 // owners on the next Alloc and corrupt a remote page silently.
 func (a *Allocator) Free(off uint64, n int) {
+	if err := a.TryFree(off, n); err != nil {
+		panic(err.Error())
+	}
+}
+
+// TryFree is Free for operands an untrusted peer chose (tcpnet's agent): what
+// Free panics on, TryFree returns and leaves the allocator untouched.
+func (a *Allocator) TryFree(off uint64, n int) error {
+	if n <= 0 {
+		return fmt.Errorf("rdma: free of non-positive size %d", n)
+	}
 	size := blockSize(n)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if off%8 != 0 {
-		panic(fmt.Sprintf("rdma: free of misaligned offset %#x", off))
+		return fmt.Errorf("rdma: free of misaligned offset %#x", off)
 	}
-	if off < a.start || off+uint64(size) > a.next {
-		panic(fmt.Sprintf("rdma: free of [%#x,%#x) outside allocated range [%#x,%#x)",
-			off, off+uint64(size), a.start, a.next))
+	if off < a.start || off > a.next || uint64(size) > a.next-off {
+		return fmt.Errorf("rdma: free of [%#x,+%d) outside allocated range [%#x,%#x)",
+			off, size, a.start, a.next)
 	}
 	a.free[size] = append(a.free[size], off)
+	return nil
 }
 
 // Used returns the number of bytes handed out and never freed, for

@@ -1,7 +1,9 @@
 package rdma
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -50,6 +52,35 @@ func (r *Region) checkRange(off uint64, n int) int {
 		panic(fmt.Sprintf("rdma: range [%#x,+%d words) beyond region of %d bytes", off, n, r.Size()))
 	}
 	return w
+}
+
+// Contains reports whether the range of the given number of words at byte
+// offset off is 8-byte aligned and inside the region: what the accessors
+// below panic on. A transport checks peer-chosen operands with it first.
+func (r *Region) Contains(off uint64, words int) bool {
+	w, n := off/8, uint64(len(r.words))
+	return off%8 == 0 && words >= 0 && w < n && uint64(words) <= n-w
+}
+
+// AppendLE appends the given number of words starting at byte offset off to
+// dst as little-endian bytes, the wire image of a READ, without a staging
+// []uint64.
+func (r *Region) AppendLE(dst []byte, off uint64, words int) []byte {
+	w := r.checkRange(off, words)
+	dst = slices.Grow(dst, 8*words)
+	for i := 0; i < words; i++ {
+		dst = binary.LittleEndian.AppendUint64(dst, atomic.LoadUint64(&r.words[w+i]))
+	}
+	return dst
+}
+
+// WriteLE stores the len(src)/8 little-endian words of src into the region
+// starting at byte offset off: AppendLE's inverse, for a WRITE's wire image.
+func (r *Region) WriteLE(off uint64, src []byte) {
+	w := r.checkRange(off, len(src)/8)
+	for i := 0; i < len(src)/8; i++ {
+		atomic.StoreUint64(&r.words[w+i], binary.LittleEndian.Uint64(src[8*i:]))
+	}
 }
 
 // Read copies len(dst) words starting at byte offset off into dst.

@@ -6,16 +6,32 @@
 // loops service one-sided verbs against the server's region (the software
 // analogue of the NIC's DMA engine, like soft-RoCE) and dispatch two-sided
 // RPCs to the registered handler. A client endpoint holds one connection per
-// memory server — its "queue pair" — and issues synchronous verbs over it.
+// memory server — its "queue pair" — and issues verbs over it, one at a time
+// (the blocking surface) or as doorbell batches (Post/Flush/Poll).
 //
 // The wire format is length-prefixed little-endian frames:
 //
 //	request:  [u32 length][u8 verb][payload...]
 //	response: [u32 length][u8 status][payload...]
+//
+// A doorbell batch is one write per server each way: the endpoint's Flush
+// writes a server's frames together, and the agent flushes its replies only
+// once it has consumed every request byte it has read, so the replies to
+// frames that arrived together leave together. The agent still executes
+// frames one by one and appends each reply before reading the next frame, so
+// replies keep request order per connection, which is all Poll relies on.
+//
+// Both ends build frames in per-connection scratch buffers, so one-sided
+// verbs allocate nothing. The price is a lifetime rule: a payload is valid
+// until the next frame on that connection. Read destinations are filled
+// before the verb returns; an RPC response is copied out (Call, Completion.
+// Resp), because its caller decodes it later; an RPC handler may use its
+// request only until it returns.
 package tcpnet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -136,21 +152,33 @@ type agentEnv struct{}
 func (agentEnv) Charge(int64) {}
 func (agentEnv) Pause()       { runtime.Gosched() }
 
+// serveConn is one connection's loop. It owns the connection's two scratch
+// buffers, the request body and the reply frame, so a one-sided verb is served
+// without allocating.
+//
+// Replies are coalesced: the writer is flushed only when the request reader
+// has nothing buffered, so the N frames of a doorbell batch that arrived in
+// one read are answered by one write, and a serial verb by exactly one, as
+// before. Frames are still handled one at a time and their replies appended
+// in that order, so per-connection reply order is request order.
 func (a *Agent) serveConn(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriterSize(conn, 64<<10)
+	var req, reply []byte
 	for {
-		frame, err := readFrame(r)
-		if err != nil {
+		var err error
+		if req, err = readFrame(r, req); err != nil {
 			return // client disconnected or protocol error
 		}
-		resp, err := a.handle(frame)
-		if err != nil {
-			resp = append([]byte{statusErr}, []byte(err.Error())...)
+		if reply, err = a.handle(req, beginFrame(reply, statusOK)); err != nil {
+			reply = append(beginFrame(reply, statusErr), err.Error()...)
 		}
-		if err := writeFrame(w, resp); err != nil {
+		if err := endFrame(w, reply); err != nil {
 			return
+		}
+		if r.Buffered() > 0 {
+			continue // the rest of the batch is already here: answer it in the same write
 		}
 		if err := w.Flush(); err != nil {
 			return
@@ -158,145 +186,143 @@ func (a *Agent) serveConn(conn net.Conn) {
 	}
 }
 
-// handle executes one verb frame and returns the response frame body.
-func (a *Agent) handle(frame []byte) ([]byte, error) {
+// handle executes one request frame and appends the reply payload to out.
+// Every operand is the peer's choice: offsets and lengths are checked against
+// the region and the allocator here, because the accessors behind them panic
+// on what they take for a caller's bug.
+func (a *Agent) handle(frame, out []byte) ([]byte, error) {
 	if len(frame) < 1 {
-		return nil, fmt.Errorf("empty frame")
+		return out, fmt.Errorf("empty frame")
 	}
 	op, body := frame[0], frame[1:]
+	reg := a.srv.Region
 	switch op {
 	case opRead:
 		if len(body) < 12 {
-			return nil, fmt.Errorf("short read request")
+			return out, fmt.Errorf("short read request")
 		}
-		off := order.Uint64(body)
-		words := int(order.Uint32(body[8:]))
-		if words < 0 || words*8 > maxFrame {
-			return nil, fmt.Errorf("read too large")
+		off, words := order.Uint64(body), int(order.Uint32(body[8:]))
+		if 1+8*words > maxFrame {
+			return out, fmt.Errorf("read too large")
 		}
-		out := make([]byte, 1+8*words)
-		out[0] = statusOK
-		buf := make([]uint64, words)
-		a.srv.Region.Read(off, buf)
-		for i, v := range buf {
-			order.PutUint64(out[1+8*i:], v)
+		if !reg.Contains(off, words) {
+			return out, errRange(off, words)
 		}
-		return out, nil
+		return reg.AppendLE(out, off, words), nil
 	case opWrite:
 		if len(body) < 8 || (len(body)-8)%8 != 0 {
-			return nil, fmt.Errorf("bad write request")
+			return out, fmt.Errorf("bad write request")
 		}
-		off := order.Uint64(body)
-		words := (len(body) - 8) / 8
-		buf := make([]uint64, words)
-		for i := range buf {
-			buf[i] = order.Uint64(body[8+8*i:])
+		off, words := order.Uint64(body), (len(body)-8)/8
+		if !reg.Contains(off, words) {
+			return out, errRange(off, words)
 		}
-		a.srv.Region.Write(off, buf)
-		return []byte{statusOK}, nil
+		reg.WriteLE(off, body[8:])
+		return out, nil
 	case opCAS:
 		if len(body) != 24 {
-			return nil, fmt.Errorf("bad CAS request")
+			return out, fmt.Errorf("bad CAS request")
+		}
+		off := order.Uint64(body)
+		if !reg.Contains(off, 1) {
+			return out, errRange(off, 1)
 		}
 		//rdmavet:allow caschecked -- transport relay: the prior value is returned to the remote client, which performs the old-value comparison
-		prior := a.srv.Region.CompareAndSwap(order.Uint64(body), order.Uint64(body[8:]), order.Uint64(body[16:]))
-		out := make([]byte, 9)
-		out[0] = statusOK
-		order.PutUint64(out[1:], prior)
-		return out, nil
+		prior := reg.CompareAndSwap(off, order.Uint64(body[8:]), order.Uint64(body[16:]))
+		return order.AppendUint64(out, prior), nil
 	case opFetchAdd:
 		if len(body) != 16 {
-			return nil, fmt.Errorf("bad FAA request")
+			return out, fmt.Errorf("bad FAA request")
 		}
-		prior := a.srv.Region.FetchAdd(order.Uint64(body), order.Uint64(body[8:]))
-		out := make([]byte, 9)
-		out[0] = statusOK
-		order.PutUint64(out[1:], prior)
-		return out, nil
+		off := order.Uint64(body)
+		if !reg.Contains(off, 1) {
+			return out, errRange(off, 1)
+		}
+		return order.AppendUint64(out, reg.FetchAdd(off, order.Uint64(body[8:]))), nil
 	case opAlloc:
-		if len(body) != 4 {
-			return nil, fmt.Errorf("bad alloc request")
+		if len(body) != 4 || order.Uint32(body) == 0 {
+			return out, fmt.Errorf("bad alloc request")
 		}
 		off, err := a.srv.Alloc.Alloc(int(order.Uint32(body)))
 		if err != nil {
-			return nil, err
+			return out, err
 		}
-		out := make([]byte, 9)
-		out[0] = statusOK
-		order.PutUint64(out[1:], off)
-		return out, nil
+		return order.AppendUint64(out, off), nil
 	case opFree:
 		if len(body) != 12 {
-			return nil, fmt.Errorf("bad free request")
+			return out, fmt.Errorf("bad free request")
 		}
-		a.srv.Alloc.Free(order.Uint64(body), int(order.Uint32(body[8:])))
-		return []byte{statusOK}, nil
+		return out, a.srv.Alloc.TryFree(order.Uint64(body), int(order.Uint32(body[8:])))
 	case opCall:
 		if a.handler == nil {
-			return nil, fmt.Errorf("no RPC handler")
+			return out, fmt.Errorf("no RPC handler")
 		}
+		// body is the connection's request scratch: the handler may read it
+		// until it returns, and its response is copied before the next frame.
 		resp, _ := a.handler(agentEnv{}, a.srv.ID, body)
-		return append([]byte{statusOK}, resp...), nil
+		return append(out, resp...), nil
 	case opReadMulti:
 		if len(body) < 4 {
-			return nil, fmt.Errorf("bad readmulti request")
+			return out, fmt.Errorf("bad readmulti request")
 		}
 		n := int(order.Uint32(body))
 		if len(body) != 4+12*n {
-			return nil, fmt.Errorf("bad readmulti request body")
+			return out, fmt.Errorf("bad readmulti request body")
 		}
 		total := 0
 		for i := 0; i < n; i++ {
-			total += int(order.Uint32(body[4+12*i+8:]))
-		}
-		if total*8 > maxFrame {
-			return nil, fmt.Errorf("readmulti too large")
-		}
-		out := make([]byte, 1, 1+8*total)
-		out[0] = statusOK
-		for i := 0; i < n; i++ {
-			off := order.Uint64(body[4+12*i:])
-			words := int(order.Uint32(body[4+12*i+8:]))
-			buf := make([]uint64, words)
-			a.srv.Region.Read(off, buf)
-			for _, v := range buf {
-				out = order.AppendUint64(out, v)
+			off, words := order.Uint64(body[4+12*i:]), int(order.Uint32(body[4+12*i+8:]))
+			if !reg.Contains(off, words) {
+				return out, errRange(off, words)
 			}
+			if total += words; 1+8*total > maxFrame {
+				return out, fmt.Errorf("readmulti too large")
+			}
+			out = reg.AppendLE(out, off, words)
 		}
 		return out, nil
 	case opCatalog:
 		if a.catalog == nil {
-			return nil, fmt.Errorf("no catalog installed")
+			return out, fmt.Errorf("no catalog installed")
 		}
-		return append([]byte{statusOK}, a.catalog...), nil
+		return append(out, a.catalog...), nil
 	default:
-		return nil, fmt.Errorf("unknown verb %d", op)
+		return out, fmt.Errorf("unknown verb %d", op)
 	}
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+func errRange(off uint64, words int) error {
+	return fmt.Errorf("range [%#x,+%d words) unaligned or outside the region", off, words)
+}
+
+// readFrame reads one frame's body into buf, growing it when the frame is
+// larger, and returns the body. It is valid until buf is used again.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		return buf[:0], err
 	}
-	n := order.Uint32(hdr[:])
+	n := order.Uint32(hdr)
 	if n > maxFrame {
-		return nil, fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", n)
+		return buf[:0], fmt.Errorf("tcpnet: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	r.Discard(4) // cannot fail: Peek just buffered these bytes
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
 	}
-	return buf, nil
+	_, err = io.ReadFull(r, buf[:n])
+	return buf[:n], err
 }
 
-func writeFrame(w *bufio.Writer, body []byte) error {
-	var hdr [4]byte
-	order.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
+// beginFrame starts a frame in buf's storage: room for the length prefix,
+// then the verb or status byte. The payload is appended to the result.
+func beginFrame(buf []byte, tag byte) []byte { return append(buf[:0], 0, 0, 0, 0, tag) }
+
+// endFrame fills in f's length prefix and hands the whole frame to w in one
+// Write.
+func endFrame(w *bufio.Writer, f []byte) error {
+	order.PutUint32(f, uint32(len(f)-4))
+	_, err := w.Write(f)
 	return err
 }
 
@@ -308,6 +334,13 @@ type Endpoint struct {
 	conns []net.Conn
 	rds   []*bufio.Reader
 	wrs   []*bufio.Writer
+
+	// Scratch reused by every verb, which is what keeps one-sided verbs
+	// allocation-free: the request frame being encoded, the reply body being
+	// decoded, and ReadMulti's pointer indexes grouped per server.
+	enc    []byte
+	body   []byte
+	groups [][]int
 
 	// Async post/poll state (see Poll).
 	q       rdma.PostQueue
@@ -321,10 +354,12 @@ var _ rdma.Endpoint = (*Endpoint)(nil)
 // Connections are opened lazily.
 func Dial(addrs []string) *Endpoint {
 	return &Endpoint{
-		addrs: addrs,
-		conns: make([]net.Conn, len(addrs)),
-		rds:   make([]*bufio.Reader, len(addrs)),
-		wrs:   make([]*bufio.Writer, len(addrs)),
+		addrs:  addrs,
+		conns:  make([]net.Conn, len(addrs)),
+		rds:    make([]*bufio.Reader, len(addrs)),
+		wrs:    make([]*bufio.Writer, len(addrs)),
+		groups: make([][]int, len(addrs)),
+		srvErr: make([]error, len(addrs)),
 	}
 }
 
@@ -341,14 +376,14 @@ func (e *Endpoint) Close() {
 // NumServers implements rdma.Endpoint.
 func (e *Endpoint) NumServers() int { return len(e.addrs) }
 
-func (e *Endpoint) conn(server int) (*bufio.Reader, *bufio.Writer, error) {
+func (e *Endpoint) conn(server int) (*bufio.Writer, error) {
 	if server < 0 || server >= len(e.addrs) {
-		return nil, nil, fmt.Errorf("tcpnet: unknown server %d", server)
+		return nil, fmt.Errorf("tcpnet: unknown server %d", server)
 	}
 	if e.conns[server] == nil {
 		c, err := net.Dial("tcp", e.addrs[server])
 		if err != nil {
-			return nil, nil, fmt.Errorf("tcpnet: dialing server %d: %w", server, err)
+			return nil, fmt.Errorf("tcpnet: dialing server %d: %w", server, err)
 		}
 		if tc, ok := c.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
@@ -357,32 +392,7 @@ func (e *Endpoint) conn(server int) (*bufio.Reader, *bufio.Writer, error) {
 		e.rds[server] = bufio.NewReaderSize(c, 64<<10)
 		e.wrs[server] = bufio.NewWriterSize(c, 64<<10)
 	}
-	return e.rds[server], e.wrs[server], nil
-}
-
-// roundTrip sends one verb frame and returns the response payload.
-func (e *Endpoint) roundTrip(server int, frame []byte) ([]byte, error) {
-	r, w, err := e.conn(server)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeFrame(w, frame); err != nil {
-		return nil, e.fail(server, err)
-	}
-	if err := w.Flush(); err != nil {
-		return nil, e.fail(server, err)
-	}
-	resp, err := readFrame(r)
-	if err != nil {
-		return nil, e.fail(server, err)
-	}
-	if len(resp) < 1 {
-		return nil, e.fail(server, fmt.Errorf("tcpnet: empty response"))
-	}
-	if resp[0] != statusOK {
-		return nil, fmt.Errorf("tcpnet: server %d: %s", server, resp[1:])
-	}
-	return resp[1:], nil
+	return e.wrs[server], nil
 }
 
 // fail tears down the connection so the next verb re-dials.
@@ -394,129 +404,225 @@ func (e *Endpoint) fail(server int, err error) error {
 	return err
 }
 
-// Read implements rdma.Endpoint.
-func (e *Endpoint) Read(p rdma.RemotePtr, dst []uint64) error {
-	if p.IsNull() {
-		return fmt.Errorf("tcpnet: null pointer")
-	}
-	frame := make([]byte, 13)
-	frame[0] = opRead
-	order.PutUint64(frame[1:], p.Offset())
-	order.PutUint32(frame[9:], uint32(len(dst)))
-	body, err := e.roundTrip(p.Server(), frame)
+// send writes the request frame f, built in e.enc's storage, to server's
+// connection without flushing it.
+func (e *Endpoint) send(server int, f []byte) error {
+	e.enc = f[:0]
+	w, err := e.conn(server)
 	if err != nil {
 		return err
 	}
-	if len(body) != 8*len(dst) {
-		return fmt.Errorf("tcpnet: short read response")
-	}
-	for i := range dst {
-		dst[i] = order.Uint64(body[8*i:])
+	if err := endFrame(w, f); err != nil {
+		return e.fail(server, err)
 	}
 	return nil
+}
+
+// flush pushes server's buffered request frames onto the wire.
+func (e *Endpoint) flush(server int) error {
+	if err := e.wrs[server].Flush(); err != nil {
+		return e.fail(server, err)
+	}
+	return nil
+}
+
+// readReply reads server's next reply frame and returns its payload, which
+// lives in the endpoint's reply scratch: valid until the next reply is read.
+// A transport failure tears the connection down (e.conns[server] == nil
+// afterwards); a verb-level rejection leaves it healthy.
+func (e *Endpoint) readReply(server int) ([]byte, error) {
+	if e.conns[server] == nil {
+		return nil, fmt.Errorf("tcpnet: connection to server %d lost", server)
+	}
+	var err error
+	if e.body, err = readFrame(e.rds[server], e.body); err != nil {
+		return nil, e.fail(server, err)
+	}
+	if len(e.body) < 1 {
+		return nil, e.fail(server, fmt.Errorf("tcpnet: empty response"))
+	}
+	if e.body[0] != statusOK {
+		return nil, fmt.Errorf("tcpnet: server %d: %s", server, e.body[1:])
+	}
+	return e.body[1:], nil
+}
+
+// roundTrip sends one request frame and returns the reply payload, under
+// readReply's lifetime rule.
+func (e *Endpoint) roundTrip(server int, f []byte) ([]byte, error) {
+	if err := e.send(server, f); err != nil {
+		return nil, err
+	}
+	if err := e.flush(server); err != nil {
+		return nil, err
+	}
+	return e.readReply(server)
+}
+
+// target validates a verb's destination. Invalid verbs produce no wire
+// traffic; Flush and Poll both call this, so the skip decisions agree.
+func (e *Endpoint) target(v *rdma.Posted) (int, error) {
+	server := v.Server
+	if v.Op != rdma.PostOpCall {
+		if v.P.IsNull() {
+			return -1, fmt.Errorf("tcpnet: null pointer")
+		}
+		server = v.P.Server()
+	}
+	if server < 0 || server >= len(e.addrs) {
+		return -1, fmt.Errorf("tcpnet: unknown server %d", server)
+	}
+	return server, nil
+}
+
+// put encodes v's request frame onto server's connection: the one place each
+// posted verb's wire layout is written, for the blocking and the posted path.
+func (e *Endpoint) put(server int, v *rdma.Posted) error {
+	var f []byte
+	switch v.Op {
+	case rdma.PostOpRead:
+		f = order.AppendUint64(beginFrame(e.enc, opRead), v.P.Offset())
+		f = order.AppendUint32(f, uint32(len(v.Dst)))
+	case rdma.PostOpWrite:
+		f = order.AppendUint64(beginFrame(e.enc, opWrite), v.P.Offset())
+		for _, w := range v.Src {
+			f = order.AppendUint64(f, w)
+		}
+	case rdma.PostOpCAS:
+		f = order.AppendUint64(beginFrame(e.enc, opCAS), v.P.Offset())
+		f = order.AppendUint64(order.AppendUint64(f, v.A), v.B)
+	case rdma.PostOpFetchAdd:
+		f = order.AppendUint64(beginFrame(e.enc, opFetchAdd), v.P.Offset())
+		f = order.AppendUint64(f, v.A)
+	case rdma.PostOpCall:
+		f = append(beginFrame(e.enc, opCall), v.Req...)
+	default:
+		panic(fmt.Sprintf("tcpnet: unknown posted op %d", v.Op))
+	}
+	return e.send(server, f)
+}
+
+// complete reads v's reply from server and decodes it: the one place each
+// posted verb's reply layout is read. A Call response is copied out of the
+// reply scratch, because Completion.Resp and Call's result belong to the
+// caller, who decodes them after later replies have reused the scratch; it is
+// the only allocation a verb makes.
+func (e *Endpoint) complete(server int, v *rdma.Posted) rdma.Completion {
+	c := rdma.Completion{Token: v.Tok}
+	body, err := e.readReply(server)
+	if err != nil {
+		c.Err = err
+		return c
+	}
+	switch v.Op {
+	case rdma.PostOpRead:
+		if len(body) != 8*len(v.Dst) {
+			c.Err = fmt.Errorf("tcpnet: short read response")
+			break
+		}
+		for k := range v.Dst {
+			v.Dst[k] = order.Uint64(body[8*k:])
+		}
+	case rdma.PostOpCAS, rdma.PostOpFetchAdd:
+		if len(body) != 8 {
+			c.Err = fmt.Errorf("tcpnet: bad atomic response")
+			break
+		}
+		c.Val = order.Uint64(body)
+	case rdma.PostOpCall:
+		c.Resp = bytes.Clone(body)
+	}
+	return c
+}
+
+// exec runs one verb to completion: the blocking verbs are a posted verb
+// with a doorbell of its own.
+func (e *Endpoint) exec(v *rdma.Posted) rdma.Completion {
+	server, err := e.target(v)
+	if err == nil {
+		err = e.put(server, v)
+	}
+	if err == nil {
+		err = e.flush(server)
+	}
+	if err != nil {
+		return rdma.Completion{Err: err}
+	}
+	return e.complete(server, v)
+}
+
+// Read implements rdma.Endpoint.
+func (e *Endpoint) Read(p rdma.RemotePtr, dst []uint64) error {
+	return e.exec(&rdma.Posted{Op: rdma.PostOpRead, P: p, Dst: dst}).Err
+}
+
+// Write implements rdma.Endpoint.
+func (e *Endpoint) Write(p rdma.RemotePtr, src []uint64) error {
+	return e.exec(&rdma.Posted{Op: rdma.PostOpWrite, P: p, Src: src}).Err
+}
+
+// CompareAndSwap implements rdma.Endpoint.
+func (e *Endpoint) CompareAndSwap(p rdma.RemotePtr, old, new uint64) (uint64, error) {
+	c := e.exec(&rdma.Posted{Op: rdma.PostOpCAS, P: p, A: old, B: new})
+	return c.Val, c.Err
+}
+
+// FetchAdd implements rdma.Endpoint.
+func (e *Endpoint) FetchAdd(p rdma.RemotePtr, delta uint64) (uint64, error) {
+	c := e.exec(&rdma.Posted{Op: rdma.PostOpFetchAdd, P: p, A: delta})
+	return c.Val, c.Err
+}
+
+// Call implements rdma.Endpoint. The response is the caller's to keep.
+func (e *Endpoint) Call(server int, req []byte) ([]byte, error) {
+	c := e.exec(&rdma.Posted{Op: rdma.PostOpCall, Server: server, Req: req})
+	return c.Resp, c.Err
 }
 
 // ReadMulti implements rdma.Endpoint: pointers are grouped per server and
 // each group fetched in one round trip.
 func (e *Endpoint) ReadMulti(ps []rdma.RemotePtr, dst [][]uint64) error {
-	type item struct{ idx int }
-	groups := make(map[int][]int)
+	for s := range e.groups {
+		e.groups[s] = e.groups[s][:0]
+	}
 	for i, p := range ps {
 		if p.IsNull() {
 			return fmt.Errorf("tcpnet: null pointer in batch")
 		}
-		groups[p.Server()] = append(groups[p.Server()], i)
+		if p.Server() >= len(e.groups) {
+			return fmt.Errorf("tcpnet: unknown server %d", p.Server())
+		}
+		e.groups[p.Server()] = append(e.groups[p.Server()], i)
 	}
-	for server := 0; server < len(e.addrs); server++ {
-		idxs := groups[server]
+	for server, idxs := range e.groups {
 		if len(idxs) == 0 {
 			continue
 		}
-		frame := make([]byte, 5+12*len(idxs))
-		frame[0] = opReadMulti
-		order.PutUint32(frame[1:], uint32(len(idxs)))
-		for j, i := range idxs {
-			order.PutUint64(frame[5+12*j:], ps[i].Offset())
-			order.PutUint32(frame[5+12*j+8:], uint32(len(dst[i])))
+		f := order.AppendUint32(beginFrame(e.enc, opReadMulti), uint32(len(idxs)))
+		for _, i := range idxs {
+			f = order.AppendUint64(f, ps[i].Offset())
+			f = order.AppendUint32(f, uint32(len(dst[i])))
 		}
-		body, err := e.roundTrip(server, frame)
+		body, err := e.roundTrip(server, f)
 		if err != nil {
 			return err
 		}
-		off := 0
 		for _, i := range idxs {
-			if off+8*len(dst[i]) > len(body) {
+			if 8*len(dst[i]) > len(body) {
 				return fmt.Errorf("tcpnet: short readmulti response")
 			}
 			for k := range dst[i] {
-				dst[i][k] = order.Uint64(body[off:])
-				off += 8
+				dst[i][k] = order.Uint64(body[8*k:])
 			}
+			body = body[8*len(dst[i]):]
 		}
 	}
 	return nil
 }
 
-// Write implements rdma.Endpoint.
-func (e *Endpoint) Write(p rdma.RemotePtr, src []uint64) error {
-	if p.IsNull() {
-		return fmt.Errorf("tcpnet: null pointer")
-	}
-	frame := make([]byte, 9+8*len(src))
-	frame[0] = opWrite
-	order.PutUint64(frame[1:], p.Offset())
-	for i, v := range src {
-		order.PutUint64(frame[9+8*i:], v)
-	}
-	_, err := e.roundTrip(p.Server(), frame)
-	return err
-}
-
-// CompareAndSwap implements rdma.Endpoint.
-func (e *Endpoint) CompareAndSwap(p rdma.RemotePtr, old, new uint64) (uint64, error) {
-	if p.IsNull() {
-		return 0, fmt.Errorf("tcpnet: null pointer")
-	}
-	frame := make([]byte, 25)
-	frame[0] = opCAS
-	order.PutUint64(frame[1:], p.Offset())
-	order.PutUint64(frame[9:], old)
-	order.PutUint64(frame[17:], new)
-	body, err := e.roundTrip(p.Server(), frame)
-	if err != nil {
-		return 0, err
-	}
-	if len(body) != 8 {
-		return 0, fmt.Errorf("tcpnet: bad CAS response")
-	}
-	return order.Uint64(body), nil
-}
-
-// FetchAdd implements rdma.Endpoint.
-func (e *Endpoint) FetchAdd(p rdma.RemotePtr, delta uint64) (uint64, error) {
-	if p.IsNull() {
-		return 0, fmt.Errorf("tcpnet: null pointer")
-	}
-	frame := make([]byte, 17)
-	frame[0] = opFetchAdd
-	order.PutUint64(frame[1:], p.Offset())
-	order.PutUint64(frame[9:], delta)
-	body, err := e.roundTrip(p.Server(), frame)
-	if err != nil {
-		return 0, err
-	}
-	if len(body) != 8 {
-		return 0, fmt.Errorf("tcpnet: bad FAA response")
-	}
-	return order.Uint64(body), nil
-}
-
 // Alloc implements rdma.Endpoint.
 func (e *Endpoint) Alloc(server int, n int) (rdma.RemotePtr, error) {
-	frame := make([]byte, 5)
-	frame[0] = opAlloc
-	order.PutUint32(frame[1:], uint32(n))
-	body, err := e.roundTrip(server, frame)
+	body, err := e.roundTrip(server, order.AppendUint32(beginFrame(e.enc, opAlloc), uint32(n)))
 	if err != nil {
 		return rdma.NullPtr, err
 	}
@@ -531,39 +637,36 @@ func (e *Endpoint) Free(p rdma.RemotePtr, n int) error {
 	if p.IsNull() {
 		return fmt.Errorf("tcpnet: null pointer")
 	}
-	frame := make([]byte, 13)
-	frame[0] = opFree
-	order.PutUint64(frame[1:], p.Offset())
-	order.PutUint32(frame[9:], uint32(n))
-	_, err := e.roundTrip(p.Server(), frame)
+	f := order.AppendUint64(beginFrame(e.enc, opFree), p.Offset())
+	_, err := e.roundTrip(p.Server(), order.AppendUint32(f, uint32(n)))
 	return err
-}
-
-// Call implements rdma.Endpoint.
-func (e *Endpoint) Call(server int, req []byte) ([]byte, error) {
-	frame := make([]byte, 1+len(req))
-	frame[0] = opCall
-	copy(frame[1:], req)
-	return e.roundTrip(server, frame)
 }
 
 // Catalog fetches the serialized catalog from a server.
 func (e *Endpoint) Catalog(server int) ([]byte, error) {
-	return e.roundTrip(server, []byte{opCatalog})
+	body, err := e.roundTrip(server, beginFrame(e.enc, opCatalog))
+	return bytes.Clone(body), err
 }
 
 // --- non-blocking post/poll surface (rdma.AsyncEndpoint) -----------------
 //
-// Posted verbs are buffered client-side; Flush encodes and writes every
-// buffered frame (per-server pipelining on the TCP "queue pairs") and Poll
-// reads the replies back in global posting order. Each agent connection
-// serves frames sequentially, so per-server reply order matches per-server
-// request order — the TCP analogue of RC in-order execution — and reading
-// replies in posting order across servers just interleaves already-ordered
-// streams. A connection failure fails the remaining completions of that
-// server's batch (the verbs may or may not have executed; like the blocking
-// path, the conn is torn down so the next verb re-dials) without touching
-// other servers' verbs.
+// Posted verbs are buffered client-side; Flush encodes every buffered frame
+// and writes them with one write per server (per-server pipelining on the
+// TCP "queue pairs"), the agent answers each server's frames with one write
+// (see Agent.serveConn), and Poll reads the replies back in global posting
+// order. Each agent connection serves frames sequentially, so per-server
+// reply order matches per-server request order — the TCP analogue of RC
+// in-order execution — and reading replies in posting order across servers
+// just interleaves already-ordered streams. A connection failure fails the
+// remaining completions of that server's batch (the verbs may or may not
+// have executed; like the blocking path, the conn is torn down so the next
+// verb re-dials) without touching other servers' verbs.
+//
+// Neither side reads while it writes, which leaves one bound: a single
+// batch whose requests and whose replies both exceed what the socket and
+// the peer's 64 KB buffers hold would stall both ends in write. The engine's
+// at most 32 slots of a few 1 KB verbs each stay orders of magnitude below
+// it.
 
 var _ rdma.AsyncEndpoint = (*Endpoint)(nil)
 
@@ -592,101 +695,24 @@ func (e *Endpoint) PostCall(server int, req []byte) rdma.Token {
 	return e.q.Post(rdma.Posted{Op: rdma.PostOpCall, Server: server, Req: req})
 }
 
-// postTarget validates a posted verb's destination. Invalid verbs produce no
-// wire traffic; Flush and Poll both call this, so the skip decisions agree.
-func (e *Endpoint) postTarget(v *rdma.Posted) (int, error) {
-	if v.Op == rdma.PostOpCall {
-		if v.Server < 0 || v.Server >= len(e.addrs) {
-			return -1, fmt.Errorf("tcpnet: unknown server %d", v.Server)
-		}
-		return v.Server, nil
-	}
-	if v.P.IsNull() {
-		return -1, fmt.Errorf("tcpnet: null pointer")
-	}
-	if v.P.Server() >= len(e.addrs) {
-		return -1, fmt.Errorf("tcpnet: unknown server %d", v.P.Server())
-	}
-	return v.P.Server(), nil
-}
-
-// encodePosted builds the wire frame for a buffered verb.
-func encodePosted(v *rdma.Posted) []byte {
-	switch v.Op {
-	case rdma.PostOpRead:
-		frame := make([]byte, 13)
-		frame[0] = opRead
-		order.PutUint64(frame[1:], v.P.Offset())
-		order.PutUint32(frame[9:], uint32(len(v.Dst)))
-		return frame
-	case rdma.PostOpWrite:
-		frame := make([]byte, 9+8*len(v.Src))
-		frame[0] = opWrite
-		order.PutUint64(frame[1:], v.P.Offset())
-		for i, w := range v.Src {
-			order.PutUint64(frame[9+8*i:], w)
-		}
-		return frame
-	case rdma.PostOpCAS:
-		frame := make([]byte, 25)
-		frame[0] = opCAS
-		order.PutUint64(frame[1:], v.P.Offset())
-		order.PutUint64(frame[9:], v.A)
-		order.PutUint64(frame[17:], v.B)
-		return frame
-	case rdma.PostOpFetchAdd:
-		frame := make([]byte, 17)
-		frame[0] = opFetchAdd
-		order.PutUint64(frame[1:], v.P.Offset())
-		order.PutUint64(frame[9:], v.A)
-		return frame
-	case rdma.PostOpCall:
-		frame := make([]byte, 1+len(v.Req))
-		frame[0] = opCall
-		copy(frame[1:], v.Req)
-		return frame
-	}
-	panic(fmt.Sprintf("tcpnet: unknown posted op %d", v.Op))
-}
-
 // Flush implements rdma.AsyncEndpoint: every buffered verb not yet on the
-// wire is encoded and written, then each touched connection is flushed.
+// wire is encoded, then each connection is flushed.
 func (e *Endpoint) Flush() {
 	pending := e.q.Pending()
 	if e.written == len(pending) {
 		return
 	}
-	if e.srvErr == nil {
-		e.srvErr = make([]error, len(e.addrs))
-	}
-	dirty := false
 	for i := e.written; i < len(pending); i++ {
-		v := &pending[i]
-		server, err := e.postTarget(v)
+		server, err := e.target(&pending[i])
 		if err != nil || e.srvErr[server] != nil {
 			continue
 		}
-		_, w, err := e.conn(server)
-		if err != nil {
-			e.srvErr[server] = err
-			continue
-		}
-		if err := writeFrame(w, encodePosted(v)); err != nil {
-			e.srvErr[server] = e.fail(server, err)
-			continue
-		}
-		dirty = true
+		e.srvErr[server] = e.put(server, &pending[i])
 	}
 	e.written = len(pending)
-	if !dirty {
-		return
-	}
-	for server, w := range e.wrs {
-		if w == nil || e.srvErr[server] != nil || e.conns[server] == nil {
-			continue
-		}
-		if err := w.Flush(); err != nil {
-			e.srvErr[server] = e.fail(server, err)
+	for server := range e.conns {
+		if e.conns[server] != nil && e.srvErr[server] == nil {
+			e.srvErr[server] = e.flush(server)
 		}
 	}
 }
@@ -701,40 +727,17 @@ func (e *Endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 	for i := range pending {
 		v := &pending[i]
 		c := rdma.Completion{Token: v.Tok}
-		server, err := e.postTarget(v)
-		if err != nil {
+		server, err := e.target(v)
+		switch {
+		case err != nil:
 			c.Err = err
-			out = append(out, c)
-			continue
-		}
-		if e.srvErr[server] != nil {
+		case e.srvErr[server] != nil:
 			c.Err = e.srvErr[server]
-			out = append(out, c)
-			continue
-		}
-		body, err := e.readReply(server)
-		if err != nil {
-			c.Err = err
-			out = append(out, c)
-			continue
-		}
-		switch v.Op {
-		case rdma.PostOpRead:
-			if len(body) != 8*len(v.Dst) {
-				c.Err = fmt.Errorf("tcpnet: short read response")
-				break
+		default:
+			c = e.complete(server, v)
+			if c.Err != nil && e.conns[server] == nil {
+				e.srvErr[server] = c.Err // transport failure: fails the batch's remainder
 			}
-			for k := range v.Dst {
-				v.Dst[k] = order.Uint64(body[8*k:])
-			}
-		case rdma.PostOpCAS, rdma.PostOpFetchAdd:
-			if len(body) != 8 {
-				c.Err = fmt.Errorf("tcpnet: bad atomic response")
-				break
-			}
-			c.Val = order.Uint64(body)
-		case rdma.PostOpCall:
-			c.Resp = body
 		}
 		out = append(out, c)
 	}
@@ -744,29 +747,4 @@ func (e *Endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 		e.srvErr[i] = nil
 	}
 	return out
-}
-
-// readReply reads one in-order reply frame from a server's connection,
-// converting a transport failure into a sticky per-server batch error.
-func (e *Endpoint) readReply(server int) ([]byte, error) {
-	r := e.rds[server]
-	if r == nil || e.conns[server] == nil {
-		err := fmt.Errorf("tcpnet: connection to server %d lost", server)
-		e.srvErr[server] = err
-		return nil, err
-	}
-	resp, err := readFrame(r)
-	if err != nil {
-		e.srvErr[server] = e.fail(server, err)
-		return nil, e.srvErr[server]
-	}
-	if len(resp) < 1 {
-		e.srvErr[server] = e.fail(server, fmt.Errorf("tcpnet: empty response"))
-		return nil, e.srvErr[server]
-	}
-	if resp[0] != statusOK {
-		// A verb-level rejection: the connection stays healthy.
-		return nil, fmt.Errorf("tcpnet: server %d: %s", server, resp[1:])
-	}
-	return resp[1:], nil
 }

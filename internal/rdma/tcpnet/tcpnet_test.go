@@ -12,7 +12,7 @@ import (
 )
 
 // startCluster launches n in-process agents on ephemeral ports.
-func startCluster(t *testing.T, n int, handler rdma.Handler) ([]string, []*Agent) {
+func startCluster(t testing.TB, n int, handler rdma.Handler) ([]string, []*Agent) {
 	t.Helper()
 	var addrs []string
 	var agents []*Agent
