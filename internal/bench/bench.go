@@ -598,4 +598,3 @@ func Run(cfg Config) (Result, error) {
 	}
 	return res, nil
 }
-

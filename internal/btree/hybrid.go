@@ -19,7 +19,7 @@ func (t *Tree) FindLeaf(env rdma.Env, key layout.Key) (rdma.RemotePtr, Stats, er
 	if err != nil {
 		return rdma.NullPtr, st, err
 	}
-	var buf []uint64
+	buf := t.scratchPage()
 	depth := 1
 	for {
 		n, _, err := t.readNode(env, &st, p, buf)
@@ -73,13 +73,12 @@ type Split struct {
 // at leafPtr (which must be the leaf responsible for key, or left of it).
 func (t *Tree) LeafLookup(env rdma.Env, leafPtr rdma.RemotePtr, key layout.Key) (values []uint64, st Stats, err error) {
 	p := leafPtr
-	var buf []uint64
+	buf := t.scratchPage()
 	for {
 		n, _, err := t.readNode(env, &st, p, buf)
 		if err != nil {
 			return nil, st, err
 		}
-		buf = n.W
 		if n.IsHead() || key > n.HighKey() {
 			p = n.Right()
 			if p.IsNull() {
@@ -99,7 +98,6 @@ func (t *Tree) LeafLookup(env rdma.Env, leafPtr rdma.RemotePtr, key layout.Key) 
 		if p.IsNull() {
 			return values, st, nil
 		}
-		buf = nil
 	}
 }
 

@@ -169,3 +169,44 @@ func TestFindLeafOnSingleLeafTree(t *testing.T) {
 		t.Fatal("null leaf on fresh tree")
 	}
 }
+
+// TestHybridLeafPathAllocatesNoPage pins the hybrid client's handle onto the
+// page scratch: a one-sided upper-level descent (FindLeaf over EndpointMem)
+// allocates nothing, and a leaf lookup allocates only its result slice,
+// never a page buffer.
+func TestHybridLeafPathAllocatesNoPage(t *testing.T) {
+	f := direct.New(2, testRegion, 64)
+	l := layout.New(512)
+	root := rdma.MakePtr(0, 0)
+	server := New(l, LocalMem{Srv: f.Server(0)}, root)
+	if err := server.Init(env); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 2000; i++ {
+		if _, err := server.Insert(env, i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client := New(l, &EndpointMem{Ep: f.Endpoint(), Place: RoundRobin(2, 0)}, root)
+	key := uint64(0)
+	var leaf rdma.RemotePtr
+	findLeaf := func() {
+		var err error
+		if leaf, _, err = client.FindLeaf(env, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findLeaf() // warm the scratch page and the root cache
+	if a := testing.AllocsPerRun(200, func() { key = (key + 7) % 2000; findLeaf() }); a != 0 {
+		t.Errorf("FindLeaf allocates %v times per call, want 0", a)
+	}
+	findLeaf()
+	if a := testing.AllocsPerRun(200, func() {
+		vals, _, err := client.LeafLookup(env, leaf, key)
+		if err != nil || len(vals) != 1 {
+			t.Fatalf("LeafLookup(%d) = %v, %v", key, vals, err)
+		}
+	}); a != 1 {
+		t.Errorf("LeafLookup allocates %v times per call, want 1 (the result slice)", a)
+	}
+}

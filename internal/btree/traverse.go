@@ -18,7 +18,8 @@ import (
 // step. The protocol itself — fused validated reads, right-moves past heads
 // and outgrown fences, lock CAS on the pre-read version, body write plus
 // unlock-and-bump FAA — is the same B-link protocol as the serial paths, and
-// the Stats accounting matches verb for verb.
+// the Stats accounting counts the same verbs (ExposedRTTs counts each fused
+// pair below as the one round it costs).
 //
 // One deliberate divergence, a pure round-trip optimization: the serial
 // write paths lock through lockNodeForKey, which re-reads the page even
@@ -26,14 +27,37 @@ import (
 // the lock directly on the version of its validated descent copy; a CAS win
 // proves the page is unchanged since that copy, so the copy is current —
 // exactly the currency guarantee lockNodeForKey's re-read establishes. A CAS
-// loss falls back to re-reading, which is the serial path's loop.
+// loss falls back to re-reading, which is the serial path's loop. The same
+// holds for the inner node a separator install locks.
 //
-// Structural changes (leaf splits) are not pipelined: they are rare,
-// multi-page critical sections, and the serial path already handles every
-// race. A Traversal that would split reports StepNeedSerial *before taking
-// the lock*, and the owner runs the whole operation through the serial
-// Tree.Insert. Nothing has been published at that point, so the serial rerun
-// is exactly-once.
+// The write side has a twin of the fused read. Once the lock is held, the
+// page body WRITE and the unlock-and-bump FETCH_AND_ADD are posted back to
+// back on the page's queue pair in one step: RC executes one QP's verbs in
+// posting order, so the FAA — which publishes the new version and releases
+// the lock — runs only after the body landed, and a reader that validates
+// against the bumped version has copied the new body. One exposed round trip
+// replaces the serial unlockBump's two. The two completions are handled per
+// verb under the never-executed fault model (DESIGN.md §9): a WRITE that ran
+// with a failed FAA has published the body, so the FAA is driven to
+// completion alone; a pair that both failed never ran and is reposted; a
+// failed WRITE whose FAA ran (possible only under per-completion fault
+// injection, never on real RC) left the page unchanged at a new version and
+// unlocked, so the step fails into the owner's operation-level re-run.
+//
+// Structural changes are steps too. An insert into a full leaf locks it like
+// any other leaf, allocates the right half through the tree's Mem (the one
+// blocking verb a step issues, on a fraction of a percent of inserts, so
+// placement matches the serial path), writes the unpublished right half in
+// its own round (it may live on another server, so it cannot share the left
+// page's QP ordering), and publishes the left half with the fused
+// WRITE+FAA. At that point the insert is committed. The separator install
+// then runs as further steps with installSeparator's semantics: re-read the
+// root word, descend to the target level, lock-chase to the pair by child
+// pointer, cut or split the inner node (recursing one level up), and grow
+// the root by a CAS on the root word. A failure after the commit fails the
+// operation like the serial path does; the owner's presence-checked re-run
+// then acks the insert exactly once, and the tree stays searchable through
+// sibling links without the separator.
 
 // PostSink receives the verbs a Traversal wants posted. The engine driving
 // the traversal implements it by forwarding to an rdma.AsyncEndpoint and
@@ -68,12 +92,9 @@ const (
 	// re-establish the queue pair to Server (rdma.Reconnector), then call
 	// Redo to repost the interrupted step.
 	StepBlocked
-	// StepNeedSerial: the operation requires a structural change (leaf
-	// split). No lock is held and nothing was published; the owner runs the
-	// whole operation through the serial path instead.
-	StepNeedSerial
 	// StepFailed: the operation failed; Err is set. Any lock the traversal
-	// held was released (or is unreachable along with its server).
+	// held with its page body unchanged was released (or is unreachable
+	// along with its server).
 	StepFailed
 )
 
@@ -100,24 +121,28 @@ const (
 	phRoot               // root-word read posted
 	phPage               // fused page+version-word read posted
 	phLock               // lock CAS posted
-	phWrite              // body write posted (lock held)
-	phUnlock             // unlock-and-bump FAA posted (body published)
+	phFresh              // unpublished page WRITE posted (split right half or new root)
+	phPublish            // fused body WRITE + unlock-and-bump FAA posted (lock held)
+	phUnlock             // lone unlock-and-bump FAA posted (body published)
 	phUnlockNC           // no-change unlock CAS posted (lock held, body unchanged)
+	phRootCAS            // root-word CAS posted (root growth)
 )
 
 type travMode uint8
 
 const (
-	modeDescend travMode = iota // root-to-leaf descent
-	modeCollect                 // lookup: duplicate spill right-walk
-	modeChase                   // insert/delete: leaf-chain lock walk
+	modeDescend    travMode = iota // root-to-leaf descent
+	modeCollect                    // lookup: duplicate spill right-walk
+	modeChase                      // insert/delete: leaf-chain lock walk
+	modeSepDescend                 // separator install: descent to the target level
+	modeSepChase                   // separator install: lock walk for the cut pair
 )
 
 // Traversal is one resumable index operation. It is owned by a single
 // engine slot; all buffers are pre-allocated at construction so steady-state
-// operation is allocation-free. The *Tree handle is shared with the serial
-// paths (layout, root cache, spin budget) but the traversal never touches
-// the handle's scratch buffers.
+// operation, splits included, is allocation-free. The *Tree handle is shared
+// with the serial paths (layout, Mem, root cache, spin budget) but the
+// traversal never touches the handle's scratch buffers.
 type Traversal struct {
 	t   *Tree
 	env rdma.Env
@@ -138,25 +163,42 @@ type Traversal struct {
 	p         rdma.RemotePtr // page the current step targets
 	depth     int
 	ver       uint64 // validated version of pageBuf; pre-lock version once locked
+	holding   bool   // p is locked by us and its body is unchanged
 	moveRight bool
 	next      rdma.RemotePtr
+
+	// Split and separator-install state. fresh is the unpublished page in
+	// freshBuf. A split sets level/sep/left/right to the install it owes
+	// (owesInstall) once its left half is published.
+	fresh       rdma.RemotePtr
+	owesInstall bool
+	level       int            // install target level
+	sep         layout.Key     // separator being installed
+	left        rdma.RemotePtr // split node the separator bounds
+	right       rdma.RemotePtr // new node the separator points at
+	routeKey    layout.Key     // install descent key (sep, or 0 to rescan the level)
+	chaseKey    layout.Key     // lock-walk fence key: routeKey, then 0 past the first node
+	sepFound    bool           // the pair whose child is left has been seen
+	atRoot      bool           // the page read in flight is the freshly read root
 
 	stepTries   int
 	unlockTries int
 	pauseWanted bool
 
-	pageBuf []uint64
-	vbuf    [1]uint64
-	rootBuf [1]uint64
+	pageBuf  []uint64
+	freshBuf []uint64
+	vbuf     [1]uint64
+	rootBuf  [1]uint64
 }
 
 // NewTraversal allocates a traversal slot against the given tree handle.
 func NewTraversal(t *Tree, env rdma.Env) *Traversal {
 	return &Traversal{
-		t:       t,
-		env:     env,
-		pageBuf: make([]uint64, t.L.Words),
-		Values:  make([]uint64, 0, 4),
+		t:        t,
+		env:      env,
+		pageBuf:  make([]uint64, t.L.Words),
+		freshBuf: make([]uint64, t.L.Words),
+		Values:   make([]uint64, 0, 4),
 	}
 }
 
@@ -176,6 +218,8 @@ func (tr *Traversal) Begin(op TraversalOp, key layout.Key, value uint64) {
 	tr.stepTries = 0
 	tr.unlockTries = 0
 	tr.moveRight = false
+	tr.holding = false
+	tr.owesInstall = false
 }
 
 // TakePause reports whether the traversal wants a backoff pause (it hit a
@@ -213,15 +257,21 @@ func (tr *Traversal) Step(comps []rdma.Completion, sink PostSink) StepResult {
 	case phLock:
 		tr.expect(comps, 1)
 		return tr.handleLock(comps[0], sink)
-	case phWrite:
+	case phFresh:
 		tr.expect(comps, 1)
-		return tr.handleWrite(comps[0], sink)
+		return tr.handleFresh(comps[0], sink)
+	case phPublish:
+		tr.expect(comps, 2)
+		return tr.handlePublish(comps[0], comps[1], sink)
 	case phUnlock:
 		tr.expect(comps, 1)
 		return tr.handleUnlock(comps[0], sink)
 	case phUnlockNC:
 		tr.expect(comps, 1)
 		return tr.handleUnlockNC(comps[0], sink)
+	case phRootCAS:
+		tr.expect(comps, 1)
+		return tr.handleRootCAS(comps[0], sink)
 	}
 	panic("btree: Step on idle traversal")
 }
@@ -238,12 +288,17 @@ func (tr *Traversal) Redo(sink PostSink) StepResult {
 		sink.PostRead(tr.p, tr.vbuf[:])
 	case phLock:
 		sink.PostCAS(tr.p, tr.ver, layout.WithLock(tr.ver))
-	case phWrite:
+	case phFresh:
+		sink.PostWrite(tr.fresh, tr.freshBuf)
+	case phPublish:
 		sink.PostWrite(tr.p.Add(8), tr.pageBuf[1:])
+		sink.PostFetchAdd(tr.p, 1)
 	case phUnlock:
 		sink.PostFetchAdd(tr.p, 1)
 	case phUnlockNC:
 		sink.PostCAS(tr.p, layout.WithLock(tr.ver), tr.ver)
+	case phRootCAS:
+		sink.PostCAS(tr.t.RootWord, uint64(tr.left), uint64(tr.fresh))
 	default:
 		panic("btree: Redo with no step outstanding")
 	}
@@ -257,20 +312,20 @@ func (tr *Traversal) Redo(sink PostSink) StepResult {
 // unlockBump: restoring the pre-lock version would validate readers'
 // pre-write snapshots against the new body).
 func (tr *Traversal) Abort(err error) StepResult {
-	switch tr.phase {
-	case phWrite, phUnlockNC:
-		tr.t.abortUnlock(&tr.St, tr.p, tr.ver)
-	case phUnlock:
+	if tr.phase == phUnlock {
 		err = fmt.Errorf("btree: unlock of %v abandoned (page stays locked): %w", tr.p, err)
 	}
-	return tr.fail(err)
+	return tr.release(err)
 }
 
 // Server returns the memory server the current step targets — the reconnect
 // target after StepBlocked.
 func (tr *Traversal) Server() int {
-	if tr.phase == phRoot {
+	switch tr.phase {
+	case phRoot, phRootCAS:
 		return tr.t.RootWord.Server()
+	case phFresh:
+		return tr.fresh.Server()
 	}
 	return tr.p.Server()
 }
@@ -280,14 +335,20 @@ func (tr *Traversal) fail(err error) StepResult {
 	return StepResult{Status: StepFailed, Err: err}
 }
 
+// release fails the operation, first restoring the pre-lock version of a
+// page the traversal holds locked with its body unchanged — the serial
+// abortUnlock error path.
+func (tr *Traversal) release(err error) StepResult {
+	if tr.holding {
+		tr.holding = false
+		tr.t.abortUnlock(&tr.St, tr.p, tr.ver)
+	}
+	return tr.fail(err)
+}
+
 func (tr *Traversal) done() StepResult {
 	tr.phase = phIdle
 	return StepResult{Status: StepDone}
-}
-
-func (tr *Traversal) needSerial() StepResult {
-	tr.phase = phIdle
-	return StepResult{Status: StepNeedSerial}
 }
 
 func (tr *Traversal) expect(comps []rdma.Completion, n int) {
@@ -298,7 +359,8 @@ func (tr *Traversal) expect(comps []rdma.Completion, n int) {
 
 // stepError classifies a failed completion for the current step: QP errors
 // block pending reconnect, other transient failures repost within the step
-// budget, permanent failures fail the operation.
+// budget, and everything else fails the operation (releasing a held,
+// unmodified page).
 func (tr *Traversal) stepError(err error, sink PostSink) StepResult {
 	if errors.Is(err, rdma.ErrQPError) {
 		return StepResult{Status: StepBlocked, Server: tr.Server(), Err: err}
@@ -309,9 +371,20 @@ func (tr *Traversal) stepError(err error, sink PostSink) StepResult {
 			tr.pauseWanted = true
 			return tr.Redo(sink)
 		}
-		return tr.fail(fmt.Errorf("btree: %d attempts exhausted: %w", tr.stepTries, err))
+		err = fmt.Errorf("btree: %d attempts exhausted: %w", tr.stepTries, err)
 	}
-	return tr.fail(err)
+	return tr.release(err)
+}
+
+// restart counts one consistency restart and reports whether the spin
+// budget is blown; otherwise it requests the engine's coalesced pause.
+func (tr *Traversal) restart() bool {
+	tr.St.Restarts++
+	if tr.t.overBudget(&tr.St) {
+		return true
+	}
+	tr.pauseWanted = true
+	return false
 }
 
 // --- posting helpers ------------------------------------------------------
@@ -342,17 +415,20 @@ func (tr *Traversal) postLock(sink PostSink) StepResult {
 	return StepResult{Status: StepRunning}
 }
 
-func (tr *Traversal) postWrite(sink PostSink) StepResult {
-	tr.phase = phWrite
+func (tr *Traversal) postFresh(sink PostSink) StepResult {
+	tr.phase = phFresh
 	tr.stepTries = 0
-	sink.PostWrite(tr.p.Add(8), tr.pageBuf[1:])
+	sink.PostWrite(tr.fresh, tr.freshBuf)
 	return StepResult{Status: StepRunning}
 }
 
-func (tr *Traversal) postUnlock(sink PostSink) StepResult {
-	tr.phase = phUnlock
+// postPublish posts the write side's fused pair: the body WRITE (the version
+// word excluded) and the unlock-and-bump FAA, back to back on p's QP, so
+// the FAA executes after the body landed (see the file comment).
+func (tr *Traversal) postPublish(sink PostSink) StepResult {
+	tr.phase = phPublish
 	tr.stepTries = 0
-	tr.unlockTries = 0
+	sink.PostWrite(tr.p.Add(8), tr.pageBuf[1:])
 	sink.PostFetchAdd(tr.p, 1)
 	return StepResult{Status: StepRunning}
 }
@@ -379,6 +455,7 @@ func (tr *Traversal) handleRoot(c rdma.Completion, sink PostSink) StepResult {
 	tr.t.cachedRoot = p
 	tr.p = p
 	tr.depth = 1
+	tr.atRoot = tr.mode == modeSepDescend
 	tr.stepTries = 0
 	return tr.postPage(sink)
 }
@@ -396,16 +473,14 @@ func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResu
 	tr.stepTries = 0
 	v := tr.vbuf[0]
 	if v != layout.BufVersion(tr.pageBuf) || layout.IsLocked(v) {
-		tr.St.Restarts++
 		if layout.IsLocked(layout.BufVersion(tr.pageBuf)) || layout.IsLocked(v) {
 			tr.St.LockSpins++
 		} else {
 			tr.St.VersionAborts++
 		}
-		if tr.t.overBudget(&tr.St) {
+		if tr.restart() {
 			return tr.fail(fmt.Errorf("btree: %d restarts reading %v: %w", tr.St.Restarts, tr.p, ErrSpinBudget))
 		}
-		tr.pauseWanted = true
 		return tr.postPage(sink)
 	}
 	tr.ver = v
@@ -415,11 +490,7 @@ func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResu
 	case modeDescend:
 		if n.IsHead() || tr.Key > n.HighKey() {
 			// Right-moves stay on the same level and do not deepen the path.
-			tr.p = n.Right()
-			if tr.p.IsNull() {
-				return tr.fail(fmt.Errorf("btree: fell off chain for key %d", tr.Key))
-			}
-			return tr.postPage(sink)
+			return tr.moveTo(n.Right(), tr.Key, sink)
 		}
 		if !n.IsLeaf() {
 			child, ok := n.InnerRoute(tr.Key)
@@ -434,7 +505,8 @@ func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResu
 		if tr.Op == TravLookup {
 			return tr.collect(n, sink)
 		}
-		return tr.lockLeaf(n, sink)
+		tr.mode = modeChase
+		return tr.postLock(sink)
 
 	case modeCollect:
 		if n.IsHead() {
@@ -446,16 +518,60 @@ func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResu
 		}
 		return tr.collect(n, sink)
 
-	default: // modeChase: insert/delete walking the leaf chain for the lock
+	case modeChase: // insert/delete walking the leaf chain for the lock
 		if n.IsHead() || tr.Key > n.HighKey() {
-			tr.p = n.Right()
+			return tr.moveTo(n.Right(), tr.Key, sink)
+		}
+		return tr.postLock(sink)
+
+	case modeSepDescend:
+		if tr.atRoot {
+			tr.atRoot = false
+			if n.Level() < tr.level {
+				if tr.p == tr.left {
+					return tr.growRoot(sink)
+				}
+				// A concurrent writer is growing the root; wait for it.
+				if tr.restart() {
+					return tr.fail(fmt.Errorf("btree: %d restarts waiting for root growth: %w", tr.St.Restarts, ErrSpinBudget))
+				}
+				return tr.postRoot(sink)
+			}
+		}
+		if n.Level() > tr.level {
+			if n.IsHead() || tr.routeKey > n.HighKey() {
+				tr.p = n.Right()
+			} else {
+				child, ok := n.InnerRoute(tr.routeKey)
+				if !ok {
+					panic("btree: routing failed within fence")
+				}
+				tr.p = child
+			}
 			if tr.p.IsNull() {
-				return tr.fail(fmt.Errorf("btree: fell off chain for key %d", tr.Key))
+				return tr.fail(fmt.Errorf("btree: fell off chain installing sep %d", tr.sep))
 			}
 			return tr.postPage(sink)
 		}
-		return tr.lockLeaf(n, sink)
+		tr.mode = modeSepChase
+		tr.chaseKey = tr.routeKey
+		fallthrough
+
+	default: // modeSepChase: lock the target-level node, as lockNodeForKey
+		if n.IsHead() || tr.chaseKey > n.HighKey() {
+			return tr.moveTo(n.Right(), tr.chaseKey, sink)
+		}
+		return tr.postLock(sink)
 	}
+}
+
+// moveTo follows a right-sibling link on the current level.
+func (tr *Traversal) moveTo(right rdma.RemotePtr, key layout.Key, sink PostSink) StepResult {
+	tr.p = right
+	if tr.p.IsNull() {
+		return tr.fail(fmt.Errorf("btree: fell off chain for key %d", key))
+	}
+	return tr.postPage(sink)
 }
 
 // collect harvests key's values from a consistent leaf copy and follows
@@ -477,16 +593,6 @@ func (tr *Traversal) collect(n layout.Node, sink PostSink) StepResult {
 	return tr.postPage(sink)
 }
 
-// lockLeaf takes the write lock on the validated leaf copy in pageBuf, or
-// diverts a would-split insert to the serial path before locking.
-func (tr *Traversal) lockLeaf(n layout.Node, sink PostSink) StepResult {
-	if tr.Op == TravInsert && n.Count() >= tr.t.L.LeafCap {
-		return tr.needSerial()
-	}
-	tr.mode = modeChase
-	return tr.postLock(sink)
-}
-
 func (tr *Traversal) handleLock(c rdma.Completion, sink PostSink) StepResult {
 	if c.Err != nil {
 		return tr.stepError(c.Err, sink)
@@ -494,25 +600,26 @@ func (tr *Traversal) handleLock(c rdma.Completion, sink PostSink) StepResult {
 	tr.St.Atomics++
 	tr.St.ExposedRTTs++
 	if c.Val != tr.ver {
-		tr.St.Restarts++
 		tr.St.LockRetries++
-		if tr.t.overBudget(&tr.St) {
+		if tr.restart() {
 			return tr.fail(fmt.Errorf("btree: %d restarts locking %v: %w", tr.St.Restarts, tr.p, ErrSpinBudget))
 		}
-		tr.pauseWanted = true
 		tr.stepTries = 0
-		return tr.postPage(sink) // modeChase: re-read, re-chase, re-lock
+		return tr.postPage(sink) // re-read, re-chase, re-lock
 	}
 	// Lock held, and the CAS win proves pageBuf (validated at ver) is still
 	// the page's current content.
+	tr.holding = true
 	n := tr.t.L.Wrap(tr.pageBuf)
+	if tr.mode == modeSepChase {
+		return tr.sepLocked(n, sink)
+	}
 	switch tr.Op {
 	case TravInsert:
-		if !n.LeafInsert(tr.Key, tr.Value) {
-			// Capacity was checked on this same validated copy in lockLeaf.
-			panic("btree: no space in leaf locked at checked version")
+		if n.LeafInsert(tr.Key, tr.Value) {
+			return tr.postPublish(sink)
 		}
-		return tr.postWrite(sink)
+		return tr.splitLeaf(n, sink)
 	default: // TravDelete
 		for i := n.LeafLowerBound(tr.Key); i < n.Count() && n.LeafKey(i) == tr.Key; i++ {
 			if n.LeafDeleted(i) || n.LeafValue(i) != tr.Value {
@@ -520,7 +627,7 @@ func (tr *Traversal) handleLock(c rdma.Completion, sink PostSink) StepResult {
 			}
 			n.SetLeafDeleted(i, true)
 			tr.Found = true
-			return tr.postWrite(sink)
+			return tr.postPublish(sink)
 		}
 		// Not in this leaf; duplicates may continue right.
 		tr.moveRight = n.HighKey() == tr.Key
@@ -529,28 +636,95 @@ func (tr *Traversal) handleLock(c rdma.Completion, sink PostSink) StepResult {
 	}
 }
 
-func (tr *Traversal) handleWrite(c rdma.Completion, sink PostSink) StepResult {
+// splitLeaf is the B-link leaf split of the locked, full leaf n at p
+// (Tree.leafInsert's split): the right half goes to a freshly allocated page,
+// the left half is rewritten in place, and the separator install follows the
+// left half's publish.
+func (tr *Traversal) splitLeaf(n layout.Node, sink PostSink) StepResult {
+	rp, err := tr.t.M.AllocPage(0, tr.t.L.PageBytes)
+	if err != nil {
+		return tr.release(err)
+	}
+	tr.St.ExposedRTTs++
+	right := tr.t.L.Wrap(tr.freshBuf)
+	right.InitLeaf()
+	sep := n.LeafSplit(right)
+	right.SetRight(n.Right())
+	right.SetLeft(tr.p)
+	n.SetRight(rp)
+	if tr.Key <= sep {
+		if !n.LeafInsert(tr.Key, tr.Value) {
+			panic("btree: no space in left half after split")
+		}
+	} else if !right.LeafInsert(tr.Key, tr.Value) {
+		panic("btree: no space in right half after split")
+	}
+	tr.fresh = rp
+	tr.owe(1, sep)
+	return tr.postFresh(sink)
+}
+
+// owe records the separator install a split of the node at p into fresh
+// needs once p is published.
+func (tr *Traversal) owe(level int, sep layout.Key) {
+	tr.owesInstall = true
+	tr.level, tr.sep = level, sep
+	tr.left, tr.right = tr.p, tr.fresh
+}
+
+// handleFresh completes the WRITE of an unpublished page: a split's right
+// half (the split node's lock is held) or a new root (no lock held).
+func (tr *Traversal) handleFresh(c rdma.Completion, sink PostSink) StepResult {
 	if c.Err != nil {
-		if errors.Is(c.Err, rdma.ErrQPError) {
-			return StepResult{Status: StepBlocked, Server: tr.Server(), Err: c.Err}
-		}
-		if rdma.IsTransient(c.Err) {
-			tr.stepTries++
-			if tr.stepTries < stepRetryBudget {
-				tr.pauseWanted = true
-				return tr.Redo(sink)
-			}
-		}
-		// A failed write was never executed remotely (DESIGN.md §9): the
-		// page body is unchanged, release the lock by restoring the
-		// pre-lock version — the serial unlockBump's error path.
-		tr.t.abortUnlock(&tr.St, tr.p, tr.ver)
-		return tr.fail(c.Err)
+		// A failed WRITE never executed and nothing points at the page yet:
+		// release the split node unchanged; the page leaks to the GC.
+		return tr.stepError(c.Err, sink)
 	}
 	tr.St.PageWrites++
 	tr.St.ExposedRTTs++
 	tr.env.Charge(tr.t.VisitNS)
-	return tr.postUnlock(sink)
+	if !tr.holding {
+		return tr.postRootCAS(sink)
+	}
+	tr.St.Splits++
+	return tr.postPublish(sink)
+}
+
+// handlePublish consumes the fused body WRITE + unlock FAA pair, one
+// completion per verb (see the file comment for the four outcomes).
+func (tr *Traversal) handlePublish(w, f rdma.Completion, sink PostSink) StepResult {
+	if w.Err == nil {
+		tr.St.PageWrites++
+		tr.St.ExposedRTTs++
+		tr.env.Charge(tr.t.VisitNS)
+		tr.holding = false
+		if f.Err == nil {
+			tr.St.Atomics++
+			return tr.published(sink)
+		}
+		// The body is published: the version must move forward, so the FAA
+		// is driven to completion on its own.
+		tr.phase = phUnlock
+		tr.unlockTries = 0
+		return tr.handleUnlock(f, sink)
+	}
+	if f.Err == nil {
+		// Only per-completion fault injection splits an RC pair this way:
+		// the FAA unlocked the page, unchanged, at a new version. The
+		// operation did not happen; the owner's re-run redoes it.
+		tr.St.Atomics++
+		tr.St.ExposedRTTs++
+		tr.holding = false
+		return tr.fail(fmt.Errorf("btree: body write to %v failed after its unlock ran (page unchanged): %w", tr.p, w.Err))
+	}
+	// Neither verb ran: the lock is held and the page unchanged. Classify
+	// the pair by its more severe failure (a QP error blocks, a permanent
+	// error fails, else both are transient and the pair is reposted).
+	err := w.Err
+	if errors.Is(f.Err, rdma.ErrQPError) || !rdma.IsTransient(f.Err) {
+		err = f.Err
+	}
+	return tr.stepError(err, sink)
 }
 
 func (tr *Traversal) handleUnlock(c rdma.Completion, sink PostSink) StepResult {
@@ -573,27 +747,33 @@ func (tr *Traversal) handleUnlock(c rdma.Completion, sink PostSink) StepResult {
 	}
 	tr.St.Atomics++
 	tr.St.ExposedRTTs++
-	return tr.done()
+	return tr.published(sink)
+}
+
+// published continues after a page's new body and version are visible: a
+// split goes on to install its separator one level up, anything else is
+// complete.
+func (tr *Traversal) published(sink PostSink) StepResult {
+	if !tr.owesInstall {
+		return tr.done()
+	}
+	tr.owesInstall = false
+	tr.routeKey = tr.sep
+	return tr.sepRescan(sink)
 }
 
 func (tr *Traversal) handleUnlockNC(c rdma.Completion, sink PostSink) StepResult {
 	if c.Err != nil {
-		if errors.Is(c.Err, rdma.ErrQPError) {
-			return StepResult{Status: StepBlocked, Server: tr.Server(), Err: c.Err}
-		}
-		if rdma.IsTransient(c.Err) {
-			tr.stepTries++
-			if tr.stepTries < stepRetryBudget {
-				tr.pauseWanted = true
-				return tr.Redo(sink)
-			}
-		}
-		return tr.fail(c.Err)
+		return tr.stepError(c.Err, sink)
 	}
 	tr.St.Atomics++
 	tr.St.ExposedRTTs++
 	if c.Val != layout.WithLock(tr.ver) {
 		panic("btree: lock word changed while held")
+	}
+	tr.holding = false
+	if tr.mode == modeSepChase {
+		return tr.sepNext(sink)
 	}
 	if !tr.moveRight || tr.next.IsNull() {
 		return tr.done()
@@ -602,4 +782,146 @@ func (tr *Traversal) handleUnlockNC(c rdma.Completion, sink PostSink) StepResult
 	tr.mode = modeChase
 	tr.stepTries = 0
 	return tr.postPage(sink)
+}
+
+// --- separator install (Tree.installSeparator as steps) -------------------
+
+// sepRescan restarts the install from a fresh read of the root word.
+func (tr *Traversal) sepRescan(sink PostSink) StepResult {
+	tr.mode = modeSepDescend
+	tr.sepFound = false
+	return tr.postRoot(sink)
+}
+
+// sepLocked runs on the locked target-level node n: find the pair whose
+// child is left (by child pointer, so duplicate separators cannot misdirect
+// the cut), advance to the first pair of that group with separator >= sep,
+// and cut there — splitting n first when it is full. Either search may walk
+// right into siblings.
+func (tr *Traversal) sepLocked(n layout.Node, sink PostSink) StepResult {
+	idx := 0
+	if !tr.sepFound {
+		idx = -1
+		for i := 0; i < n.Count(); i++ {
+			if n.InnerChild(i) == tr.left {
+				idx = i
+				break
+			}
+		}
+		if idx < 0 {
+			tr.next = n.Right()
+			return tr.postUnlockNC(sink)
+		}
+		tr.sepFound = true
+	}
+	// The group's pairs are contiguous, ascending, and may spill into right
+	// siblings if this inner node split.
+	for idx < n.Count() && n.InnerKey(idx) < tr.sep {
+		idx++
+	}
+	if idx == n.Count() {
+		tr.next = n.Right()
+		return tr.postUnlockNC(sink)
+	}
+	if n.Count() < tr.t.L.InnerCap {
+		n.InnerCutAt(idx, tr.sep, tr.right)
+		return tr.postPublish(sink)
+	}
+	// Target inner node full: split it (same B-link discipline), cut in the
+	// correct half, then install the new separator one level up.
+	rp, err := tr.t.M.AllocPage(tr.level, tr.t.L.PageBytes)
+	if err != nil {
+		return tr.release(err)
+	}
+	tr.St.ExposedRTTs++
+	right := tr.t.L.Wrap(tr.freshBuf)
+	right.InitInner(tr.level)
+	sep2 := n.InnerSplit(right)
+	right.SetRight(n.Right())
+	right.SetLeft(tr.p)
+	n.SetRight(rp)
+	if idx < n.Count() {
+		n.InnerCutAt(idx, tr.sep, tr.right)
+	} else {
+		right.InnerCutAt(idx-n.Count(), tr.sep, tr.right)
+	}
+	tr.fresh = rp
+	tr.owe(tr.level+1, sep2)
+	return tr.postFresh(sink)
+}
+
+// sepNext continues after the no-change unlock of a node that did not hold
+// the cut: lock the right sibling, or restart from the root when the level
+// ended.
+func (tr *Traversal) sepNext(sink PostSink) StepResult {
+	if !tr.next.IsNull() {
+		tr.p = tr.next
+		tr.chaseKey = 0
+		tr.stepTries = 0
+		return tr.postPage(sink)
+	}
+	if !tr.sepFound && tr.routeKey != 0 {
+		// Two benign races end up here: (a) left is itself the right half
+		// of an earlier split whose separator install has not completed
+		// yet, so no pair points at it; (b) a racing second split of left
+		// already installed a smaller separator for it, left of where
+		// routeKey landed us. Rescan from the level's left end first.
+		tr.routeKey = 0
+		return tr.sepRescan(sink)
+	}
+	// Wait for the pending install (or the transient chain state) and
+	// retry from routing.
+	if !tr.sepFound {
+		tr.routeKey = tr.sep
+	}
+	if tr.restart() {
+		return tr.fail(fmt.Errorf("btree: %d restarts installing sep %d: %w", tr.St.Restarts, tr.sep, ErrSpinBudget))
+	}
+	return tr.sepRescan(sink)
+}
+
+// growRoot installs a new root above left/right (Tree.tryGrowRoot): build
+// it on a fresh page, write it, then CAS it into the root word.
+func (tr *Traversal) growRoot(sink PostSink) StepResult {
+	np, err := tr.t.M.AllocPage(tr.level, tr.t.L.PageBytes)
+	if err != nil {
+		return tr.fail(err)
+	}
+	tr.St.ExposedRTTs++
+	nr := tr.t.L.Wrap(tr.freshBuf)
+	nr.InitInner(tr.level)
+	nr.InnerAppend(tr.sep, tr.left)
+	nr.InnerAppend(layout.MaxKey, tr.right)
+	tr.fresh = np
+	return tr.postFresh(sink)
+}
+
+func (tr *Traversal) postRootCAS(sink PostSink) StepResult {
+	tr.phase = phRootCAS
+	tr.stepTries = 0
+	sink.PostCAS(tr.t.RootWord, uint64(tr.left), uint64(tr.fresh))
+	return StepResult{Status: StepRunning}
+}
+
+func (tr *Traversal) handleRootCAS(c rdma.Completion, sink PostSink) StepResult {
+	if c.Err != nil {
+		return tr.stepError(c.Err, sink)
+	}
+	tr.St.Atomics++
+	tr.St.ExposedRTTs++
+	if c.Val == uint64(tr.left) {
+		tr.St.Splits++
+		tr.t.cachedRoot = tr.fresh
+		return tr.done()
+	}
+	// Lost the race; the page was never published, safe to free.
+	if err := tr.t.M.FreePage(tr.fresh, tr.t.L.PageBytes); err != nil {
+		return tr.fail(err)
+	}
+	tr.St.ExposedRTTs++
+	tr.t.cachedRoot = rdma.NullPtr
+	if tr.restart() {
+		return tr.fail(fmt.Errorf("btree: %d restarts waiting for root growth: %w", tr.St.Restarts, ErrSpinBudget))
+	}
+	return tr.sepRescan(sink)
 }

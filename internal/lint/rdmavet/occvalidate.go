@@ -118,7 +118,7 @@ func (op *occPass) findValidators() {
 // produced them, ok-variables guarding sets of buffers, and version
 // variables bound to layout.BufVersion(buffer).
 type occFact struct {
-	tainted map[types.Object]string        // buffer -> source verb name
+	tainted map[types.Object]string         // buffer -> source verb name
 	guards  map[types.Object][]types.Object // ok var -> buffers it validates
 	vers    map[types.Object]types.Object   // version var -> buffer sampled
 }

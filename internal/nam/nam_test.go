@@ -89,6 +89,65 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// dirtyResponse carries every field, including the dirty-page trailer with
+// all three kinds.
+var dirtyResponse = Response{
+	Status: StatusErr,
+	Ptr:    rdma.MakePtr(1, 64),
+	Values: []uint64{4, 5},
+	Pairs:  []uint64{1, 10},
+	Err:    "partial",
+	Dirty: []DirtyPage{
+		{Kind: DirtyFull, Ptr: rdma.MakePtr(0, 512), Words: []uint64{2, 3, 4}},
+		{Kind: DirtyFresh, Ptr: rdma.MakePtr(2, 1024), Words: []uint64{0, 7}},
+		{Kind: DirtyWord, Ptr: rdma.MakePtr(0, 8), Words: []uint64{99}},
+	},
+	Load: 42,
+}
+
+// TestResponseRoundTripDirty round-trips the dirty-page and load trailers.
+func TestResponseRoundTripDirty(t *testing.T) {
+	r := dirtyResponse
+	got, err := DecodeResponse(r.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != r.Status || got.Ptr != r.Ptr || got.Err != r.Err || got.Load != r.Load ||
+		len(got.Values) != 2 || got.Values[1] != 5 || len(got.Pairs) != 2 || got.Pairs[1] != 10 {
+		t.Fatalf("round trip: got %+v want %+v", got, r)
+	}
+	if len(got.Dirty) != len(r.Dirty) {
+		t.Fatalf("dirty pages: got %d want %d", len(got.Dirty), len(r.Dirty))
+	}
+	for i, d := range r.Dirty {
+		g := got.Dirty[i]
+		if g.Kind != d.Kind || g.Ptr != d.Ptr || len(g.Words) != len(d.Words) {
+			t.Fatalf("dirty[%d]: got %+v want %+v", i, g, d)
+		}
+		for j := range d.Words {
+			if g.Words[j] != d.Words[j] {
+				t.Fatalf("dirty[%d] words: got %v want %v", i, g.Words, d.Words)
+			}
+		}
+	}
+}
+
+// TestResponseEncodeOneAlloc pins Encode's exact buffer sizing: one
+// allocation per reply, and no spare capacity, with or without dirty pages.
+func TestResponseEncodeOneAlloc(t *testing.T) {
+	for name, r := range map[string]*Response{
+		"plain": {Status: StatusOK, Values: []uint64{1, 2, 3}, Load: 7},
+		"dirty": &dirtyResponse,
+	} {
+		if a := testing.AllocsPerRun(100, func() { _ = r.Encode() }); a != 1 {
+			t.Errorf("%s: Encode allocates %v times, want 1", name, a)
+		}
+		if b := r.Encode(); len(b) != cap(b) {
+			t.Errorf("%s: encoded %d bytes into a %d-byte buffer", name, len(b), cap(b))
+		}
+	}
+}
+
 // TestDecodeResponseNoLoadTrailer pins backward compatibility: a response
 // encoded before the load trailer existed (bytes end after the dirty-page
 // trailer) decodes with Load 0.

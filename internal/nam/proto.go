@@ -214,7 +214,11 @@ type Response struct {
 
 // Encode serializes the response.
 func (r *Response) Encode() []byte {
-	n := 1 + 8 + 4 + 8*len(r.Values) + 4 + 8*len(r.Pairs) + 2 + len(r.Err)
+	// Sized exactly, trailers included, so every reply costs one allocation.
+	n := 1 + 8 + 4 + 8*len(r.Values) + 4 + 8*len(r.Pairs) + 2 + len(r.Err) + 2 + 1
+	for _, d := range r.Dirty {
+		n += 1 + 8 + 4 + 8*len(d.Words)
+	}
 	buf := make([]byte, 0, n)
 	buf = append(buf, r.Status)
 	buf = order.AppendUint64(buf, uint64(r.Ptr))
@@ -265,8 +269,6 @@ func DecodeResponse(b []byte) (Response, error) {
 			r.Values[i] = order.Uint64(b[off:])
 			off += 8
 		}
-	} else {
-		off += 0
 	}
 	np := int(order.Uint32(b[off:]))
 	off += 4

@@ -8,6 +8,7 @@ import (
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
+	"github.com/namdb/rdmatree/internal/telemetry"
 )
 
 func buildPipelined(tb testing.TB, inflight int) *fine.PipelinedClient {
@@ -51,6 +52,49 @@ func TestPipelinedLookupZeroAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("pipelined lookup allocates %v allocs/op in steady state, want 0", allocs)
+	}
+}
+
+// TestPipelinedInsertSplitHeavyZeroAllocs extends the gate to the write
+// side's structural steps: on 128-byte pages nearly every other insert
+// splits a leaf, and many split inner nodes or grow the root. Splits run as
+// steps over each traversal's preallocated page buffers, so steady-state
+// inserts allocate nothing either.
+func TestPipelinedInsertSplitHeavyZeroAllocs(t *testing.T) {
+	fab := direct.New(4, 64<<20, nam.SuperblockBytes)
+	cat, err := fine.Build(fab.Endpoint(), fine.Options{Layout: layout.New(128)},
+		core.BuildSpec{N: 1000, At: func(i int) (uint64, uint64) { return uint64(i) << 20, uint64(i) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := fine.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, 0, 8)
+	bad := 0
+	cb := func(err error) {
+		if err != nil {
+			bad++
+		}
+	}
+	i := uint64(0)
+	insert := func() {
+		i++
+		pc.Insert(i*2654435761%(1000<<20), i, cb)
+	}
+	for j := 0; j < 2000; j++ { // warm slots, ring capacities, allocator
+		insert()
+	}
+	pc.Drain()
+	rec := telemetry.NewRecorder(4)
+	pc.SetRecorder(rec)
+	allocs := testing.AllocsPerRun(2000, insert)
+	pc.Drain()
+	if bad != 0 {
+		t.Fatalf("%d inserts failed", bad)
+	}
+	if splits := rec.StatsMap()["index"].(map[string]any)["splits"].(int64); splits < 500 {
+		t.Fatalf("only %d splits in the measured inserts; the config is not split-heavy", splits)
+	}
+	if allocs != 0 {
+		t.Fatalf("split-heavy pipelined insert allocates %v allocs/op in steady state, want 0", allocs)
 	}
 }
 

@@ -26,22 +26,38 @@ import (
 // the fabric and the fault state, so data races in the dataplane surface
 // here.
 func TestChaosPipelined(t *testing.T) {
+	runChaosPipelined(t, 512, 3000)
+}
+
+// TestChaosPipelinedSplitHeavy runs the same schedule on 128-byte pages
+// over a small preload, so a large share of inserts split leaves, split
+// inner nodes and grow the root — every structural step faces the drops,
+// QP errors and the crash.
+func TestChaosPipelinedSplitHeavy(t *testing.T) {
+	runChaosPipelined(t, 128, 200)
+}
+
+func runChaosPipelined(t *testing.T, pageBytes, preload int) {
 	const (
 		servers      = 3
 		clients      = 3
 		inflight     = 8
 		opsPerClient = 600
-		preload      = 3000
 		keyspace     = 1 << 16
 	)
 	fab := direct.New(servers, 64<<20, nam.SuperblockBytes)
 	step := uint64(keyspace / preload)
-	cat, err := fine.Build(fab.Endpoint(), fine.Options{Layout: layout.New(512)},
+	cat, err := fine.Build(fab.Endpoint(), fine.Options{Layout: layout.New(pageBytes)},
 		core.BuildSpec{
 			N:         preload,
 			At:        func(i int) (uint64, uint64) { return uint64(i) * step, uint64(i) },
 			HeadEvery: 6,
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := fine.NewClient(fab.Endpoint(), direct.Env{}, cat, 0)
+	height, err := bare.Tree().Height(rdma.NopEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +115,6 @@ func TestChaosPipelined(t *testing.T) {
 	// Post-run verification through a bare endpoint: release any lock
 	// abandoned by an operation that exhausted its recovery budget, then
 	// verify the tree and sweep the whole keyspace.
-	bare := fine.NewClient(fab.Endpoint(), direct.Env{}, cat, 0)
 	if _, err := bare.Tree().RecoverLocks(); err != nil {
 		t.Fatalf("post-run lock recovery: %v", err)
 	}
@@ -136,5 +151,9 @@ func TestChaosPipelined(t *testing.T) {
 	if nAcked == 0 {
 		t.Fatal("no insert was ever acknowledged — the schedule starved the run")
 	}
-	t.Logf("acked=%d failed=%v", nAcked, failed)
+	grown, err := bare.Tree().Height(rdma.NopEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("acked=%d failed=%v height %d -> %d", nAcked, failed, height, grown)
 }

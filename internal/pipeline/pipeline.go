@@ -57,13 +57,19 @@ const (
 // Config configures an Engine. Tree, Ep and Env are required; everything
 // else is optional.
 type Config struct {
-	// Tree is the client's handle onto the fine-grained index. The engine
-	// uses it for layout and root-cache state, and to run rare structural
-	// operations (leaf splits) through the serial path.
+	// Tree is the client's handle onto the fine-grained index. Every
+	// operation, splits and separator installs included, runs as steps of a
+	// btree.Traversal against it; the engine calls none of its blocking
+	// write paths. The traversals share its layout, root cache, spin budget
+	// and Mem, whose AllocPage places split pages.
 	Tree *btree.Tree
 	// Ep is the client's endpoint. Its non-blocking surface (rdma.Async) is
-	// the dataplane; its blocking surface runs serial fallbacks between
-	// rounds.
+	// the dataplane. Its blocking surface carries only what a step cannot
+	// post: a split's page allocation and a failed step's best-effort
+	// unlock, issued while other slots' posts of the next round are still
+	// unflushed (the rdma.AsyncEndpoint contract allows this). The
+	// traversals issue those through the Tree's Mem, which
+	// fine.NewPipelinedClient builds over this same endpoint.
 	Ep rdma.Endpoint
 	// Env is the client's execution environment (time charging, backoff).
 	Env rdma.Env
@@ -342,9 +348,6 @@ func (e *Engine) handle(s *slot, res btree.StepResult) {
 			return
 		}
 		e.finish(s, nil)
-	case btree.StepNeedSerial:
-		s.st.Add(s.tr.St)
-		e.runSerial(s)
 	case btree.StepBlocked:
 		s.blockedOn = res.Server
 		s.blockedErr = res.Err
@@ -354,22 +357,6 @@ func (e *Engine) handle(s *slot, res btree.StepResult) {
 		s.st.Add(s.tr.St)
 		e.opError(s, res.Err)
 	}
-}
-
-// runSerial executes the whole operation through the serial path — reached
-// only for inserts that need a leaf split. The traversal reported
-// StepNeedSerial before locking anything, so the serial re-run is
-// exactly-once. Blocking verbs are safe here: delivery happens with no
-// completions outstanding, and the unflushed posts of other slots are
-// buffered client-side until the next doorbell.
-func (e *Engine) runSerial(s *slot) {
-	st, err := e.cfg.Tree.Insert(e.cfg.Env, s.key, s.value)
-	s.st.Add(st)
-	if err != nil {
-		e.opError(s, err)
-		return
-	}
-	e.finish(s, nil)
 }
 
 // presenceResult consumes the epoch-fenced presence check of an interrupted

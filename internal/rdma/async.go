@@ -31,10 +31,17 @@ package rdma
 //     returning the extended slice. Callers reuse out across rounds to stay
 //     allocation-free.
 //   - Like the blocking surface, the async surface is single-owner: one
-//     goroutine posts, flushes and polls. Blocking verbs may be interleaved
-//     freely while no posted verb is outstanding (i.e. between a Poll return
-//     and the next Post), which is how serial fallback paths (splits, bulk
-//     setup) coexist with the pipelined hot path.
+//     goroutine posts, flushes and polls. Blocking verbs may be issued at
+//     any point outside a Flush..Poll window: with nothing posted, and also
+//     while verbs posted since the last Poll are still unflushed. Such a
+//     blocking verb executes on its own, ahead of the unflushed posts, and
+//     leaves their effects and completions untouched. The pipelined engine
+//     relies on this: while other operations' posts for the next round wait
+//     unflushed, a split step allocates its page and a failed step releases
+//     its lock with blocking verbs. Between a Flush and the Poll that reaps
+//     it, blocking verbs are not allowed (a transport may still be reading
+//     the batch's replies). rdmatest.AllocMidBatch pins the rule for every
+//     bundled transport.
 type AsyncEndpoint interface {
 	Endpoint
 	// PostRead posts a READ of len(dst) words from p into dst.

@@ -6,6 +6,7 @@ import (
 
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
+	"github.com/namdb/rdmatree/internal/rdma/rdmatest"
 )
 
 // blockingOnly hides a transport's native async surface so rdma.Async is
@@ -98,6 +99,13 @@ func TestAsyncAdapterContract(t *testing.T) {
 		t.Fatal("expected the generic adapter")
 	}
 	contractCheck(t, a, p)
+}
+
+// TestAsyncAdapterAllocMidBatch pins the blocking-Alloc-between-posts rule
+// on the generic adapter, which executes posted verbs only at Poll.
+func TestAsyncAdapterAllocMidBatch(t *testing.T) {
+	ep, p := asyncFixture(t)
+	rdmatest.AllocMidBatch(t, rdma.Async(blockingOnly{ep}), p, 1)
 }
 
 func TestAsyncNativeDirect(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/namdb/rdmatree/internal/rdma"
+	"github.com/namdb/rdmatree/internal/rdma/rdmatest"
 )
 
 func TestOneSidedVerbs(t *testing.T) {
@@ -134,4 +135,11 @@ func TestConcurrentClientsAtomicCounter(t *testing.T) {
 	if got := f.Server(0).Region.Load(0); got != clients*perClient {
 		t.Fatalf("counter = %d; want %d", got, clients*perClient)
 	}
+}
+
+// TestAllocMidBatch pins the blocking-Alloc-between-posts rule of the
+// rdma.AsyncEndpoint contract on direct.
+func TestAllocMidBatch(t *testing.T) {
+	f := New(2, 1<<16, 128)
+	rdmatest.AllocMidBatch(t, f.Endpoint().(rdma.AsyncEndpoint), rdma.MakePtr(0, 256), 1)
 }

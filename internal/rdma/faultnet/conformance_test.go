@@ -13,6 +13,7 @@ import (
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
 	"github.com/namdb/rdmatree/internal/rdma/faultnet"
+	"github.com/namdb/rdmatree/internal/rdma/rdmatest"
 	"github.com/namdb/rdmatree/internal/rdma/retry"
 	"github.com/namdb/rdmatree/internal/rdma/tcpnet"
 	"github.com/namdb/rdmatree/internal/workload"
@@ -47,6 +48,16 @@ func driveIndex(t *testing.T, idx core.Index) string {
 func stack(ep rdma.Endpoint) rdma.Endpoint {
 	n := faultnet.New(faultnet.Schedule{}, nil)
 	return retry.Wrap(n.Endpoint(ep, 0), &retry.Policy{})
+}
+
+// TestAllocMidBatch pins the blocking-Alloc-between-posts rule of the
+// rdma.AsyncEndpoint contract through the fault decorator: posted verbs are
+// gated at Post time and forwarded to the inner async surface, and a blocking
+// Alloc in between is an independent gated verb.
+func TestAllocMidBatch(t *testing.T) {
+	fab := direct.New(2, 1<<16, 128)
+	ep := faultnet.New(faultnet.Schedule{}, nil).Endpoint(fab.Endpoint(), 0)
+	rdmatest.AllocMidBatch(t, ep, rdma.MakePtr(0, 256), 1)
 }
 
 // TestConformanceDirect checks that a fault-free faultnet (and the retry

@@ -104,6 +104,13 @@ type Schedule struct {
 	QPErrorEvery int
 	// Steps are the scripted server crashes, ordered by AtTick.
 	Steps []Step
+	// Drop scripts dropped completions: each endpoint's n-th verb (1-based,
+	// counted like QPErrorEvery's spacing) for every n listed, in ascending
+	// order, fails with rdma.ErrTimeout unexecuted (unless the seeded
+	// schedule already failed it). It draws nothing from the PRNG, so it
+	// forces exact per-completion outcomes without moving the seeded
+	// streams.
+	Drop []int64
 }
 
 func (s *Schedule) deadline() int64 {
@@ -242,6 +249,7 @@ type Endpoint struct {
 
 	verbs       int64
 	nextQPError int64
+	nextDrop    int // index of the next Schedule.Drop entry
 	qpBroken    map[int]bool
 	reg         map[int]int // incarnation this client's rkeys were registered against
 
@@ -282,6 +290,21 @@ func (e *Endpoint) gate(servers ...int) error {
 		}
 	}
 	e.verbs++
+	scripted := false
+	if drops := e.net.sched.Drop; e.nextDrop < len(drops) && drops[e.nextDrop] == e.verbs {
+		e.nextDrop++
+		scripted = true
+	}
+	err := e.draw(servers)
+	if err == nil && scripted {
+		e.net.count(FaultDrop)
+		err = fmt.Errorf("faultnet: completion dropped (scripted): %w", rdma.ErrTimeout)
+	}
+	return err
+}
+
+// draw runs the probabilistic part of the schedule for one verb.
+func (e *Endpoint) draw(servers []int) error {
 	sched := &e.net.sched
 	if sched.QPErrorEvery > 0 && e.verbs >= e.nextQPError && len(servers) > 0 {
 		e.nextQPError = e.verbs + int64(sched.QPErrorEvery) + e.rng.Int63n(int64(sched.QPErrorEvery))

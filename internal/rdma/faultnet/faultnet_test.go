@@ -251,3 +251,22 @@ func TestZeroScheduleIsTransparent(t *testing.T) {
 		t.Fatalf("zero schedule must delegate everything undelayed (verbs=%d delayed=%d)", inner.verbs, ep.DelayedNS)
 	}
 }
+
+// TestScriptedDrop pins Schedule.Drop: exactly the listed verb ordinals fail
+// with ErrTimeout, and the probabilistic stream is not moved by them.
+func TestScriptedDrop(t *testing.T) {
+	trace := faultTrace(Schedule{Drop: []int64{2, 5, 6}}, 0, 8)
+	want := []bool{false, true, false, false, true, true, false, false}
+	for i := range want {
+		if trace[i] != want[i] {
+			t.Fatalf("scripted drops: got %v, want %v", trace, want)
+		}
+	}
+	base := faultTrace(Schedule{Seed: 3, DropRate: 0.3}, 1, 64)
+	both := faultTrace(Schedule{Seed: 3, DropRate: 0.3, Drop: []int64{10}}, 1, 64)
+	for i := range base {
+		if want := base[i] || i == 9; both[i] != want {
+			t.Fatalf("verb %d: scripted drop moved the seeded stream", i+1)
+		}
+	}
+}

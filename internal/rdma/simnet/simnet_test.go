@@ -5,6 +5,7 @@ import (
 
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/rdma"
+	"github.com/namdb/rdmatree/internal/rdma/rdmatest"
 	"github.com/namdb/rdmatree/internal/sim"
 )
 
@@ -429,9 +430,9 @@ func TestAsyncDataFidelityAndOrder(t *testing.T) {
 		ptr := rdma.MakePtr(2, 128)
 		dst := make([]uint64, 2)
 		a.PostWrite(ptr, []uint64{7, 8})
-		a.PostCAS(ptr, 7, 70)   // must observe the earlier posted write
-		a.PostFetchAdd(ptr, 5)  // must observe the CAS
-		a.PostRead(ptr, dst)    // must observe both atomics
+		a.PostCAS(ptr, 7, 70)  // must observe the earlier posted write
+		a.PostFetchAdd(ptr, 5) // must observe the CAS
+		a.PostRead(ptr, dst)   // must observe both atomics
 		a.PostCall(1, []byte{9})
 		a.PostRead(rdma.NullPtr, nil)
 		a.Flush()
@@ -460,6 +461,19 @@ func TestAsyncDataFidelityAndOrder(t *testing.T) {
 		if comps[5].Err == nil {
 			t.Error("null-pointer post completed without error")
 		}
+	})
+	s.Run()
+}
+
+// TestAllocMidBatch pins the blocking-Alloc-between-posts rule of the
+// rdma.AsyncEndpoint contract on the simulated fabric: the blocking Alloc
+// consumes virtual time of its own while the posted verbs wait unflushed.
+func TestAllocMidBatch(t *testing.T) {
+	s := sim.New()
+	f := New(s, NewConfig(testTopology()))
+	f.Start()
+	s.Spawn("c", func(p *sim.Proc) {
+		rdmatest.AllocMidBatch(t, f.Endpoint(0, p).(rdma.AsyncEndpoint), rdma.MakePtr(2, 128), 1)
 	})
 	s.Run()
 }

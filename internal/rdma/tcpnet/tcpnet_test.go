@@ -9,6 +9,7 @@ import (
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/rdma"
+	"github.com/namdb/rdmatree/internal/rdma/rdmatest"
 )
 
 // startCluster launches n in-process agents on ephemeral ports.
@@ -300,6 +301,17 @@ func TestConcurrentEndpointsSeparateConnections(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAllocMidBatch pins the blocking-Alloc-between-posts rule of the
+// rdma.AsyncEndpoint contract over TCP: posted frames stay buffered
+// client-side until Flush, so the Alloc round trip cannot interleave with
+// their replies.
+func TestAllocMidBatch(t *testing.T) {
+	addrs, _ := startCluster(t, 2, nil)
+	ep := Dial(addrs)
+	defer ep.Close()
+	rdmatest.AllocMidBatch(t, ep, rdma.MakePtr(0, 256), 1)
 }
 
 // TestAsyncPostPollOverTCP pins the native post/poll surface: a mixed batch
