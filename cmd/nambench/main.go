@@ -19,11 +19,13 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/namdb/rdmatree/internal/bench"
 	"github.com/namdb/rdmatree/internal/obs"
 	"github.com/namdb/rdmatree/internal/rdma"
+	"github.com/namdb/rdmatree/internal/stats"
 	"github.com/namdb/rdmatree/internal/telemetry"
 )
 
@@ -192,14 +194,18 @@ func main() {
 		todo = []bench.Experiment{e}
 	}
 
+	bench.LiveEvents = new(atomic.Uint64)
 	for _, e := range todo {
 		fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
-		start := time.Now()
+		start, events0 := time.Now(), bench.LiveEvents.Load()
 		if err := e.Run(os.Stdout, sc); err != nil {
 			fmt.Fprintf(os.Stderr, "nambench: %s failed: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		wall := time.Since(start)
+		events := bench.LiveEvents.Load() - events0
+		fmt.Printf("(%s completed in %v; %s sim events, %s events/s)\n\n", e.ID, wall.Round(time.Millisecond),
+			stats.FormatQty(float64(events)), stats.FormatQty(float64(events)/wall.Seconds()))
 	}
 
 	if tracer != nil {

@@ -43,6 +43,11 @@ var LiveTracer *telemetry.Tracer
 // virtual clock.
 var LiveMetrics *obs.MetricsSet
 
+// LiveEvents, when non-nil, accumulates the number of simulation events
+// every Run in this process executes — cmd/nambench sets it to report each
+// experiment's events and events per second.
+var LiveEvents *atomic.Uint64
+
 // Config describes one experiment point.
 type Config struct {
 	// Design selects the index design under test.
@@ -235,6 +240,7 @@ func Run(cfg Config) (Result, error) {
 		cfg.Tune(&simCfg)
 	}
 	fab := simnet.New(s, simCfg)
+	defer fab.Release()
 	l := layout.New(cfg.PageBytes)
 
 	// Telemetry wiring: one shared recorder (atomic counters) fed by every
@@ -569,6 +575,9 @@ func Run(cfg Config) (Result, error) {
 	}
 	s.RunUntil(measureEnd)
 	s.Shutdown()
+	if LiveEvents != nil {
+		LiveEvents.Add(s.Events())
+	}
 
 	if e, ok := firstErr.Load().(error); ok && e != nil {
 		res.Err = e

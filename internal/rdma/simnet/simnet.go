@@ -152,7 +152,13 @@ func New(s *sim.Sim, cfg Config) *Fabric {
 	top := cfg.Topology
 	f := &Fabric{S: s, Cfg: cfg}
 	for i := 0; i < top.MemServers; i++ {
-		f.servers = append(f.servers, rdma.NewServer(i, cfg.RegionBytes, nam.SuperblockBytes))
+		// Mapped, so the untouched bulk of a region sized for the worst case
+		// costs neither zeroing nor memory; the heap serves if mapping fails.
+		r, err := rdma.NewMappedRegion(cfg.RegionBytes)
+		if err != nil {
+			r = rdma.NewRegion(cfg.RegionBytes)
+		}
+		f.servers = append(f.servers, rdma.NewServerOn(i, r, nam.SuperblockBytes))
 		f.serverNIC = append(f.serverNIC, sim.NewResource(s, 1))
 		f.srqs = append(f.srqs, sim.NewQueue(s))
 	}
@@ -167,6 +173,18 @@ func New(s *sim.Sim, cfg Config) *Fabric {
 	f.BytesIn = stats.NewPerServer(top.MemServers)
 	f.BytesOut = stats.NewPerServer(top.MemServers)
 	return f
+}
+
+// Release returns the memory servers' regions to the system. Call it once
+// the simulation has been shut down and nothing reads the regions any more;
+// a later access to a region panics.
+func (f *Fabric) Release() {
+	for _, srv := range f.servers {
+		if err := srv.Region.Release(); err != nil {
+			// Unmapping a mapping New made fails only on a bug.
+			panic(fmt.Sprintf("simnet: releasing server %d's region: %v", srv.ID, err))
+		}
+	}
 }
 
 // NumServers implements rdma.Fabric.
@@ -204,14 +222,32 @@ func (f *Fabric) Start() {
 	}
 }
 
+// rpcJob is one RPC in flight: the request on its way through the target
+// server's SRQ and the response a handler fills in. An endpoint reuses its
+// jobs; a job is free again once done has fired and the poster has read resp.
 type rpcJob struct {
-	req  []byte
-	resp []byte
-	done *sim.Event
+	server int
+	req    []byte
+	resp   []byte
+	done   *sim.Event
+	leg    func(q *sim.Proc) // the job's fork leg in a Poll batch: e.callLeg(q, job)
+}
+
+func (e *endpoint) newJob() *rpcJob {
+	job := &rpcJob{done: sim.NewEvent(e.f.S)}
+	job.leg = func(q *sim.Proc) { e.callLeg(q, job) }
+	return job
+}
+
+// arm readies a free job for a request to server.
+func (job *rpcJob) arm(server int, req []byte) {
+	job.server, job.req, job.resp = server, req, nil
+	job.done.Reset()
 }
 
 func (f *Fabric) handlerLoop(p *sim.Proc, srv, machine int) {
-	env := handlerEnv{p: p, factor: f.qpi(srv), spin: f.Cfg.ServerSpinNS}
+	// Boxed once: converting the struct to rdma.Env per call would allocate.
+	var env rdma.Env = &handlerEnv{p: p, factor: f.qpi(srv), spin: f.Cfg.ServerSpinNS}
 	for {
 		job := f.srqs[srv].Get(p).(*rpcJob)
 		f.cores[machine].Acquire(p)
@@ -302,9 +338,19 @@ type endpoint struct {
 	q         rdma.PostQueue
 	unflushed int
 	jobs      []*rpcJob // per posted Call, in posting order; nil = rejected
-	srvReq    []int     // per-server request bytes of the current batch
-	srvResp   []int     // per-server response bytes
-	srvCount  []int     // per-server one-sided verb count
+	jobPool   []*rpcJob // every job Poll has made, reused batch after batch
+	callJob   *rpcJob   // the blocking Call's job
+
+	// Doorbell-batch state shared by ReadMulti and Poll, sized on first use
+	// and reused by every batch: per-server tallies, each server's fork leg,
+	// and the join the client waits on for the slowest leg.
+	srvReq   []int // per-server request bytes of the current batch
+	srvResp  []int // per-server response bytes
+	srvWire  []int // per-server payload bytes the server NIC streams
+	srvCount []int // per-server one-sided verb count
+	legs     []func(q *sim.Proc)
+	join     *sim.Event
+	pending  int // legs (server shares and posted calls) not yet finished
 }
 
 var _ rdma.Endpoint = (*endpoint)(nil)
@@ -359,20 +405,19 @@ func (e *endpoint) ReadMulti(ps []rdma.RemotePtr, dst [][]uint64) error {
 	// aggregate inbound payload; each target server NIC serializes its own
 	// share; only one round trip of latency is exposed. Servers are visited
 	// in ID order to keep the simulation deterministic.
-	perServer := make([]int, len(e.f.servers)) // server -> payload bytes
-	perCount := make([]int, len(e.f.servers))
+	e.beginBatch()
 	total := 0
 	for i, p := range ps {
 		if p.IsNull() {
 			return fmt.Errorf("simnet: null pointer in batch")
 		}
 		b := len(dst[i]) * 8
-		perServer[p.Server()] += b + ackBytes
-		perCount[p.Server()]++
+		e.srvResp[p.Server()] += b + ackBytes
+		e.srvCount[p.Server()]++
 		total += b
 	}
 	allLocal := true
-	for srv, n := range perCount {
+	for srv, n := range e.srvCount {
 		if n > 0 && !e.isLocal(srv) {
 			allLocal = false
 		}
@@ -386,26 +431,17 @@ func (e *endpoint) ReadMulti(ps []rdma.RemotePtr, dst [][]uint64) error {
 		// observes the slowest one (fork-join). Doorbell batching: each
 		// server NIC charges one amortized (small) op for the whole batch
 		// plus its payload stream.
-		pending := 0
-		join := sim.NewEvent(e.f.S)
-		for srv := range perServer {
-			if perCount[srv] == 0 || e.isLocal(srv) {
+		for srv, n := range e.srvCount {
+			if n == 0 || e.isLocal(srv) {
 				continue
 			}
-			pending++
-			srv := srv
-			e.f.S.Spawn("batchread", func(q *sim.Proc) {
-				e.f.serverNIC[srv].Use(q, cfg.SmallServerNS+bwNS(perServer[srv], cfg.ServerBW))
-				e.f.BytesIn.Add(srv, int64(verbHeaderBytes*perCount[srv]))
-				e.f.BytesOut.Add(srv, int64(perServer[srv]))
-				pending--
-				if pending == 0 {
-					join.Fire()
-				}
-			})
+			e.srvReq[srv] = verbHeaderBytes * n
+			e.srvWire[srv] = e.srvResp[srv]
+			e.pending++
+			e.f.S.Spawn("batchread", e.legs[srv])
 		}
-		if pending > 0 {
-			join.Wait(e.p)
+		if e.pending > 0 {
+			e.join.Wait(e.p)
 		}
 		e.p.Sleep(cfg.LinkLatencyNS)
 		e.f.clientNICUse(e.p, e.machine, 0, total)
@@ -475,14 +511,20 @@ func (e *endpoint) Call(server int, req []byte) ([]byte, error) {
 		e.f.serverNIC[server].Use(e.p, cfg.RPCNICNS+bwNS(reqBytes, cfg.ServerBW))
 		e.f.BytesIn.Add(server, int64(reqBytes))
 	}
-	job := &rpcJob{req: req, done: sim.NewEvent(e.f.S)}
+	if e.callJob == nil {
+		e.callJob = e.newJob()
+	}
+	job := e.callJob
+	job.arm(server, req)
 	e.f.srqs[server].Put(job)
 	job.done.Wait(e.p)
-	respBytes := len(job.resp) + rpcHeaderBytes
+	resp := job.resp
+	job.req, job.resp = nil, nil
+	respBytes := len(resp) + rpcHeaderBytes
 	machine := cfg.Topology.MachineOfServer(server)
 	if local {
 		e.p.Sleep(cfg.LocalNS + bwNS(respBytes, cfg.LocalBW))
-		return job.resp, nil
+		return resp, nil
 	}
 	// Response path: CPU-mediated egress, server NIC, wire, client NIC.
 	e.f.egress[machine].Use(e.p, bwNS(respBytes, cfg.CPUCopyBW))
@@ -490,7 +532,78 @@ func (e *endpoint) Call(server int, req []byte) ([]byte, error) {
 	e.f.BytesOut.Add(server, int64(respBytes))
 	e.p.Sleep(cfg.LinkLatencyNS)
 	e.f.clientNICUse(e.p, e.machine, 0, respBytes)
-	return job.resp, nil
+	return resp, nil
+}
+
+// beginBatch readies the doorbell-batch state for a new batch.
+func (e *endpoint) beginBatch() {
+	if e.legs == nil {
+		n := len(e.f.servers)
+		e.srvReq, e.srvResp, e.srvWire, e.srvCount = make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+		e.legs = make([]func(q *sim.Proc), n)
+		for srv := range e.legs {
+			srv := srv
+			e.legs[srv] = func(q *sim.Proc) { e.serverLeg(q, srv) }
+		}
+		e.join = sim.NewEvent(e.f.S)
+	}
+	clear(e.srvReq)
+	clear(e.srvResp)
+	clear(e.srvWire)
+	clear(e.srvCount)
+	e.join.Reset()
+	e.pending = 0
+}
+
+// serverLeg is one target server's share of a doorbell batch: its NIC
+// charges one amortized (small) op for the whole share plus the payload
+// stream.
+func (e *endpoint) serverLeg(q *sim.Proc, srv int) {
+	cfg := &e.f.Cfg
+	e.f.serverNIC[srv].Use(q, cfg.SmallServerNS+bwNS(e.srvWire[srv], cfg.ServerBW))
+	e.f.BytesIn.Add(srv, int64(e.srvReq[srv]))
+	e.f.BytesOut.Add(srv, int64(e.srvResp[srv]))
+	e.legDone()
+}
+
+// callLeg carries one posted RPC of a Poll batch along the path of a
+// blocking Call: request through both NICs and the wire, the server's SRQ
+// and handler, and the response back.
+func (e *endpoint) callLeg(q *sim.Proc, job *rpcJob) {
+	cfg := &e.f.Cfg
+	server := job.server
+	local := e.isLocal(server)
+	reqBytes := len(job.req) + rpcHeaderBytes
+	if local {
+		q.Sleep(cfg.LocalNS)
+	} else {
+		e.f.clientNICUse(q, e.machine, cfg.RPCNICNS, reqBytes)
+		q.Sleep(cfg.LinkLatencyNS)
+		e.f.serverNIC[server].Use(q, cfg.RPCNICNS+bwNS(reqBytes, cfg.ServerBW))
+		e.f.BytesIn.Add(server, int64(reqBytes))
+	}
+	e.f.srqs[server].Put(job)
+	job.done.Wait(q)
+	respBytes := len(job.resp) + rpcHeaderBytes
+	machine := cfg.Topology.MachineOfServer(server)
+	if local {
+		q.Sleep(cfg.LocalNS + bwNS(respBytes, cfg.LocalBW))
+	} else {
+		e.f.egress[machine].Use(q, bwNS(respBytes, cfg.CPUCopyBW))
+		e.f.serverNIC[server].Use(q, cfg.RPCNICNS+bwNS(respBytes, cfg.ServerBW))
+		e.f.BytesOut.Add(server, int64(respBytes))
+		q.Sleep(cfg.LinkLatencyNS)
+		e.f.clientNICUse(q, e.machine, 0, respBytes)
+	}
+	e.legDone()
+}
+
+// legDone retires one fork leg; the last one releases the waiting client.
+func (e *endpoint) legDone() {
+	e.pending--
+	if e.pending == 0 {
+		e.join.Fire()
+	}
 }
 
 // --- non-blocking post/poll surface (rdma.AsyncEndpoint) -----------------
@@ -580,20 +693,13 @@ func (e *endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 	}
 	e.Flush() // unflushed verbs still ring a (late) doorbell
 	cfg := &e.f.Cfg
-	if e.srvReq == nil {
-		n := len(e.f.servers)
-		e.srvReq, e.srvResp, e.srvCount = make([]int, n), make([]int, n), make([]int, n)
-	}
-	for i := range e.srvReq {
-		e.srvReq[i], e.srvResp[i], e.srvCount[i] = 0, 0, 0
-	}
+	e.beginBatch()
 	var (
 		reqRemote, respRemote int // client-NIC wire bytes, one-sided verbs
 		localNS               int64
 		localBytes            int
-		pending               int
+		calls                 int
 	)
-	join := sim.NewEvent(e.f.S)
 	for i := range vs {
 		v := &vs[i]
 		if v.Op == rdma.PostOpCall {
@@ -601,39 +707,15 @@ func (e *endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 				e.jobs = append(e.jobs, nil)
 				continue
 			}
-			job := &rpcJob{req: v.Req, done: sim.NewEvent(e.f.S)}
+			if calls == len(e.jobPool) {
+				e.jobPool = append(e.jobPool, e.newJob())
+			}
+			job := e.jobPool[calls]
+			calls++
+			job.arm(v.Server, v.Req)
 			e.jobs = append(e.jobs, job)
-			pending++
-			server := v.Server
-			e.f.S.Spawn("asynccall", func(q *sim.Proc) {
-				local := e.isLocal(server)
-				reqBytes := len(job.req) + rpcHeaderBytes
-				if local {
-					q.Sleep(cfg.LocalNS)
-				} else {
-					e.f.clientNICUse(q, e.machine, cfg.RPCNICNS, reqBytes)
-					q.Sleep(cfg.LinkLatencyNS)
-					e.f.serverNIC[server].Use(q, cfg.RPCNICNS+bwNS(reqBytes, cfg.ServerBW))
-					e.f.BytesIn.Add(server, int64(reqBytes))
-				}
-				e.f.srqs[server].Put(job)
-				job.done.Wait(q)
-				respBytes := len(job.resp) + rpcHeaderBytes
-				machine := cfg.Topology.MachineOfServer(server)
-				if local {
-					q.Sleep(cfg.LocalNS + bwNS(respBytes, cfg.LocalBW))
-				} else {
-					e.f.egress[machine].Use(q, bwNS(respBytes, cfg.CPUCopyBW))
-					e.f.serverNIC[server].Use(q, cfg.RPCNICNS+bwNS(respBytes, cfg.ServerBW))
-					e.f.BytesOut.Add(server, int64(respBytes))
-					q.Sleep(cfg.LinkLatencyNS)
-					e.f.clientNICUse(q, e.machine, 0, respBytes)
-				}
-				pending--
-				if pending == 0 {
-					join.Fire()
-				}
-			})
+			e.pending++
+			e.f.S.Spawn("asynccall", job.leg)
 			continue
 		}
 		if v.P.IsNull() {
@@ -658,17 +740,9 @@ func (e *endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 			continue
 		}
 		remote = true
-		pending++
-		srv := srv
-		e.f.S.Spawn("asyncbatch", func(q *sim.Proc) {
-			e.f.serverNIC[srv].Use(q, cfg.SmallServerNS+bwNS(e.srvReq[srv]+e.srvResp[srv], cfg.ServerBW))
-			e.f.BytesIn.Add(srv, int64(e.srvReq[srv]))
-			e.f.BytesOut.Add(srv, int64(e.srvResp[srv]))
-			pending--
-			if pending == 0 {
-				join.Fire()
-			}
-		})
+		e.srvWire[srv] = e.srvReq[srv] + e.srvResp[srv]
+		e.pending++
+		e.f.S.Spawn("asyncbatch", e.legs[srv])
 	}
 	if localNS > 0 {
 		e.p.Sleep(localNS + bwNS(localBytes, cfg.LocalBW))
@@ -677,8 +751,8 @@ func (e *endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 		e.f.clientNICUse(e.p, e.machine, 0, reqRemote)
 		e.p.Sleep(cfg.LinkLatencyNS)
 	}
-	if pending > 0 {
-		join.Wait(e.p)
+	if e.pending > 0 {
+		e.join.Wait(e.p)
 	}
 	if remote {
 		e.p.Sleep(cfg.LinkLatencyNS)
@@ -697,6 +771,7 @@ func (e *endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 				c.Err = e.callError(v.Server)
 			} else {
 				c.Resp = job.resp
+				job.req, job.resp = nil, nil
 			}
 		default:
 			if v.P.IsNull() {
@@ -719,6 +794,7 @@ func (e *endpoint) Poll(out []rdma.Completion) []rdma.Completion {
 		out = append(out, c)
 	}
 	e.q.Clear()
+	clear(e.jobs)
 	e.jobs = e.jobs[:0]
 	return out
 }

@@ -531,3 +531,107 @@ func TestServerCoreLoad(t *testing.T) {
 		t.Fatalf("saturated pool never sampled above 0.5 (max %v)", maxU)
 	}
 }
+
+// batchFixture is a started fabric whose handler answers every RPC with a
+// fixed reply after 100 ns of CPU, and the buffers of a mixed batch: page
+// and version READs across servers, as the fused read protocol issues them.
+type batchFixture struct {
+	s    *sim.Sim
+	f    *Fabric
+	ptrs []rdma.RemotePtr
+	dsts [][]uint64
+}
+
+func newBatchFixture() *batchFixture {
+	s := sim.New()
+	f := New(s, NewConfig(testTopology()))
+	reply := []byte("ok")
+	f.SetHandler(func(env rdma.Env, _ int, _ []byte) ([]byte, rdma.Work) {
+		env.Charge(100)
+		return reply, rdma.Work{}
+	})
+	f.Start()
+	b := &batchFixture{s: s, f: f}
+	for i := 0; i < 4; i++ {
+		b.ptrs = append(b.ptrs, rdma.MakePtr(i%2, uint64(4096+1024*i)), rdma.MakePtr(i%2, uint64(4096+1024*i)))
+		b.dsts = append(b.dsts, make([]uint64, 128), make([]uint64, 1))
+	}
+	return b
+}
+
+func (b *batchFixture) close() {
+	b.s.Shutdown()
+	b.f.Release()
+}
+
+// loop runs op back to back in one client process until shutdown.
+func (b *batchFixture) loop(t testing.TB, op func(ep rdma.Endpoint) error) {
+	b.s.Spawn("c", func(p *sim.Proc) {
+		ep := b.f.Endpoint(0, p)
+		for {
+			if err := op(ep); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+}
+
+func TestBatchedVerbsAllocateNothing(t *testing.T) {
+	req := []byte("req")
+	var out []rdma.Completion
+	ops := map[string]func(b *batchFixture, ep rdma.Endpoint) error{
+		"ReadMulti": func(b *batchFixture, ep rdma.Endpoint) error { return ep.ReadMulti(b.ptrs, b.dsts) },
+		"Poll": func(b *batchFixture, ep rdma.Endpoint) error {
+			a := ep.(rdma.AsyncEndpoint)
+			for i, p := range b.ptrs {
+				a.PostRead(p, b.dsts[i])
+			}
+			a.PostCAS(rdma.MakePtr(1, 64), 0, 0)
+			a.PostCall(2, req)
+			a.PostCall(3, req)
+			a.Flush()
+			out = a.Poll(out[:0])
+			for _, c := range out {
+				if c.Err != nil {
+					return c.Err
+				}
+			}
+			return nil
+		},
+		"Call": func(_ *batchFixture, ep rdma.Endpoint) error {
+			_, err := ep.Call(1, req)
+			return err
+		},
+	}
+	for name, op := range ops {
+		t.Run(name, func(t *testing.T) {
+			b := newBatchFixture()
+			defer b.close()
+			b.loop(t, func(ep rdma.Endpoint) error { return op(b, ep) })
+			b.s.RunUntil(1_000_000) // size the scratch, the pools and the queues
+			n := testing.AllocsPerRun(50, func() { b.s.RunUntil(b.s.Now() + 100_000) })
+			if n != 0 {
+				t.Fatalf("%v allocations per 100 µs of batches; want 0", n)
+			}
+		})
+	}
+}
+
+func BenchmarkReadMulti(b *testing.B) {
+	b.ReportAllocs()
+	fx := newBatchFixture()
+	defer fx.close()
+	done := 0
+	fx.s.Spawn("c", func(p *sim.Proc) {
+		ep := fx.f.Endpoint(0, p)
+		for ; done < b.N; done++ {
+			if err := ep.ReadMulti(fx.ptrs, fx.dsts); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ResetTimer()
+	fx.s.Run()
+}

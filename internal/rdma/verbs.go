@@ -85,7 +85,12 @@ type Server struct {
 // The first reservedBytes bytes are left to the caller (e.g. for superblock
 // metadata); the allocator manages the rest.
 func NewServer(id, sizeBytes, reservedBytes int) *Server {
-	r := NewRegion(sizeBytes)
+	return NewServerOn(id, NewRegion(sizeBytes), reservedBytes)
+}
+
+// NewServerOn creates a memory server over an existing region, reserving
+// its first reservedBytes bytes like NewServer.
+func NewServerOn(id int, r *Region, reservedBytes int) *Server {
 	return &Server{
 		ID:     id,
 		Region: r,
