@@ -89,6 +89,42 @@ func TestRegionReadWrite(t *testing.T) {
 	}
 }
 
+func TestMappedRegionRelease(t *testing.T) {
+	r, err := NewMappedRegion(1<<20 + 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Size() != 1<<20+16 {
+		t.Fatalf("Size = %d; want %d", r.Size(), 1<<20+16)
+	}
+	dst := make([]uint64, 3)
+	r.Read(1<<19, dst) // untouched pages read as zero
+	if dst[0]|dst[1]|dst[2] != 0 {
+		t.Fatalf("fresh mapping read %v; want zeros", dst)
+	}
+	r.Write(1<<19, []uint64{7, 8, 9})
+	if got := r.CompareAndSwap(1<<19+8, 8, 80); got != 8 || r.Load(1<<19+8) != 80 {
+		t.Fatalf("CAS on mapped region returned %d, left %d", got, r.Load(1<<19+8))
+	}
+	if err := r.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Size() != 0 {
+		t.Fatalf("Size after Release = %d; want 0", r.Size())
+	}
+	if err := r.Release(); err != nil {
+		t.Fatalf("second Release: %v", err)
+	}
+	// The released region no longer addresses the unmapped memory: an
+	// access panics like any out-of-range access instead of faulting.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on access after Release")
+		}
+	}()
+	r.Load(1 << 19)
+}
+
 func TestRegionSizeRoundsUp(t *testing.T) {
 	r := NewRegion(13)
 	if r.Size() != 16 {
