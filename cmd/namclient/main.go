@@ -67,6 +67,7 @@ func main() {
 
 	var cat *nam.Catalog
 	var client func(id int) (core.Index, *tcpnet.Endpoint)
+	var pipelined func(ep rdma.Endpoint, id, inflight int) asyncLookups
 	switch *design {
 	case "fine":
 		cat = &nam.Catalog{
@@ -78,6 +79,9 @@ func main() {
 		client = func(id int) (core.Index, *tcpnet.Endpoint) {
 			ep := tcpnet.Dial(addrs)
 			return core.Recover(fine.NewClient(robust(id, ep), rdma.NopEnv{}, cat, id), 0, clientRec), ep
+		}
+		pipelined = func(ep rdma.Endpoint, id, inflight int) asyncLookups {
+			return fine.NewPipelinedClient(ep, rdma.NopEnv{}, cat, id, inflight)
 		}
 	case "coarse":
 		// The coarse catalog is fetched from server 0's agent, which built
@@ -103,6 +107,9 @@ func main() {
 			ep := tcpnet.Dial(addrs)
 			return core.Recover(coarse.NewClient(robust(id, ep), rdma.NopEnv{}, cat), 0, clientRec), ep
 		}
+		pipelined = func(ep rdma.Endpoint, _, inflight int) asyncLookups {
+			return coarse.NewPipelinedClient(ep, rdma.NopEnv{}, cat, inflight)
+		}
 	case "hybrid":
 		cat = &nam.Catalog{
 			Design:      nam.Hybrid,
@@ -117,6 +124,9 @@ func main() {
 		client = func(id int) (core.Index, *tcpnet.Endpoint) {
 			ep := tcpnet.Dial(addrs)
 			return core.Recover(hybrid.NewClient(robust(id, ep), rdma.NopEnv{}, cat, id), 0, clientRec), ep
+		}
+		pipelined = func(ep rdma.Endpoint, id, inflight int) asyncLookups {
+			return hybrid.NewPipelinedClient(ep, rdma.NopEnv{}, cat, id, inflight)
 		}
 	default:
 		log.Fatalf("namclient: unknown -design %q", *design)
@@ -185,11 +195,8 @@ func main() {
 		clients := fs.Int("clients", 4, "concurrent client goroutines")
 		seconds := fs.Int("seconds", 3, "duration")
 		size := fs.Int("size", 100000, "key space (must match build -size)")
-		inflight := fs.Int("inflight", 0, "lookups each client keeps in flight through doorbell batches (-design fine; 0 = one at a time)")
+		inflight := fs.Int("inflight", 0, "lookups each client keeps in flight through doorbell batches (0 = one at a time)")
 		fs.Parse(args[1:])
-		if *inflight > 0 && *design != "fine" {
-			log.Fatal("namclient: bench -inflight is for -design fine")
-		}
 		var ops atomic.Int64
 		stop := make(chan struct{})
 		for c := 0; c < *clients; c++ {
@@ -213,7 +220,7 @@ func main() {
 					// retry.Endpoint does not forward.
 					ep := tcpnet.Dial(addrs)
 					defer ep.Close()
-					pipe := fine.NewPipelinedClient(ep, rdma.NopEnv{}, cat, c, *inflight)
+					pipe := pipelined(ep, c, *inflight)
 					var failed error
 					done := func(_ []uint64, err error) {
 						if err != nil {
@@ -327,4 +334,11 @@ commands:
   stats                         fetch each server's live telemetry counters
   check                         verify tree invariants`)
 	os.Exit(2)
+}
+
+// asyncLookups is the part of every design's pipelined client that bench
+// -inflight drives.
+type asyncLookups interface {
+	Lookup(key uint64, cb func(values []uint64, err error))
+	Drain()
 }

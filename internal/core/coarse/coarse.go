@@ -375,12 +375,24 @@ func (c *Client) SetOpLog(log *obs.Log) { c.log = log }
 func (c *Client) SetMirrorer(m nam.DirtyPusher) { c.mir = m }
 
 func (c *Client) call(server int, req *nam.Request) (*nam.Response, error) {
+	raw, err := c.ep.Call(server, c.encode(server, req))
+	return c.response(server, req.Op, raw, err)
+}
+
+// encode addresses req to server's replica group on replicated deployments
+// and encodes it.
+func (c *Client) encode(server int, req *nam.Request) []byte {
 	if c.cat.Replicated() {
 		req.Group = uint8(server)
 	}
-	raw, err := c.ep.Call(server, req.Encode())
+	return req.Encode()
+}
+
+// response finishes an RPC of type op to server that returned raw or failed
+// with err, serial or pipelined alike.
+func (c *Client) response(server int, op uint8, raw []byte, err error) (*nam.Response, error) {
 	if err != nil {
-		c.log.RPCEvent(server, req.Op, err)
+		c.log.RPCEvent(server, op, err)
 		return nil, err
 	}
 	resp, err := nam.DecodeResponse(raw)
@@ -389,14 +401,14 @@ func (c *Client) call(server int, req *nam.Request) (*nam.Response, error) {
 		// leaves the op un-acked (mirror-before-ack is the acked-data
 		// durability invariant).
 		if perr := c.mir.Push(resp.Dirty); perr != nil {
-			c.log.RPCEvent(server, req.Op, perr)
+			c.log.RPCEvent(server, op, perr)
 			return nil, perr
 		}
 	}
 	if err == nil {
 		err = resp.AsError()
 	}
-	c.log.RPCEvent(server, req.Op, err)
+	c.log.RPCEvent(server, op, err)
 	if err != nil {
 		return nil, err
 	}

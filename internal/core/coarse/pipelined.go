@@ -1,194 +1,125 @@
 package coarse
 
 import (
-	"fmt"
+	"errors"
 
+	"github.com/namdb/rdmatree/internal/btree"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/obs"
-	"github.com/namdb/rdmatree/internal/partition"
+	"github.com/namdb/rdmatree/internal/pipeline"
 	"github.com/namdb/rdmatree/internal/rdma"
 )
 
 // PipelinedClient is the asynchronous variant of Client: up to inflight RPCs
 // are outstanding at once, their SENDs sharing doorbell batches
-// (DESIGN.md §11). The coarse design's pipelining is shallow — every
-// operation is exactly one RPC to its key's partition owner — so the engine
-// here is a simple ring of call slots: each round doorbells every newly
-// submitted request, polls the batch, and completes each slot from its
-// response. RPCs to *different* servers overlap their round trips; the paper's
-// depth-proportional latency disappears behind the pipeline exactly as in
-// the fine-grained design.
-//
-// RPC failures surface in the callback; compose with the retry/faultnet
-// stack by wrapping the endpoint before binding the client (a wrapped
-// endpoint without a native async surface still works through the generic
-// adapter, trading overlap for fault transparency).
+// (DESIGN.md §11). It is a pipeline.Engine whose machine is one RPC to the
+// key's partition owner, encoded and finished by the serial Client's
+// request/response path — replica-group addressing and the mirror push
+// included. RPCs to *different* servers overlap their round trips; the
+// paper's depth-proportional latency disappears behind the pipeline exactly
+// as in the fine-grained design. The engine supplies core.Recovered's
+// operation-level recovery, and reconnects when the endpoint is an
+// rdma.Reconnector.
 //
 // Like the serial Client, a PipelinedClient is owned by a single goroutine.
 type PipelinedClient struct {
-	ep   rdma.AsyncEndpoint
-	env  rdma.Env
-	part partition.Partitioner
-	log  *obs.Log
-
-	slots  []*callSlot
-	free   []int32
-	active int
-	// order[i] is the slot that posted the i-th call of the round being
-	// delivered; nextOrder accumulates the next round.
-	order, nextOrder []int32
-	comps            []rdma.Completion
+	eng    *pipeline.Engine
+	serial *Client
 }
 
-func opKind(op uint8) obs.OpKind {
-	switch op {
-	case nam.OpLookup:
-		return obs.OpLookup
-	case nam.OpInsert:
-		return obs.OpInsert
-	default:
-		return obs.OpDelete
-	}
-}
+// rpcOps maps an engine operation to its RPC op code.
+var rpcOps = [...]uint8{btree.TravLookup: nam.OpLookup, btree.TravInsert: nam.OpInsert, btree.TravDelete: nam.OpDelete}
 
-type callSlot struct {
-	idx    int32
-	op     uint8
-	key    uint64
+// rpc is the coarse design's pipeline.Machine.
+type rpc struct {
+	c      *Client
+	req    nam.Request
 	server int
-	start  int64
-
-	onLookup func(values []uint64, err error)
-	onInsert func(err error)
-	onDelete func(found bool, err error)
+	out    pipeline.Outcome
 }
+
+func (m *rpc) Begin(op btree.TraversalOp, key, value uint64) {
+	m.server = m.c.part.Server(key)
+	m.req = nam.Request{Op: rpcOps[op], Key: key, Value: value}
+	m.out = pipeline.Outcome{Part: m.server}
+}
+
+func (m *rpc) Step(comps []rdma.Completion, sink pipeline.Sink) btree.StepResult {
+	if comps == nil {
+		return m.Redo(sink)
+	}
+	resp, err := m.c.response(m.server, m.req.Op, comps[0].Resp, comps[0].Err)
+	switch {
+	case errors.Is(err, rdma.ErrQPError):
+		return btree.StepResult{Status: btree.StepBlocked, Server: m.server, Err: err}
+	case err != nil:
+		return btree.StepResult{Status: btree.StepFailed, Err: err}
+	}
+	m.out.Values = resp.Values
+	m.out.Found = resp.Status == nam.StatusOK
+	return btree.StepResult{Status: btree.StepDone}
+}
+
+// Redo posts the call; a failed call never executed (DESIGN.md §9), so
+// reposting it is safe.
+func (m *rpc) Redo(sink pipeline.Sink) btree.StepResult {
+	sink.PostCall(m.server, m.c.encode(m.server, &m.req))
+	return btree.StepResult{Status: btree.StepRunning}
+}
+
+func (m *rpc) Abort(err error) btree.StepResult {
+	return btree.StepResult{Status: btree.StepFailed, Err: err}
+}
+
+func (m *rpc) TakePause() bool { return false }
+
+func (m *rpc) Outcome() pipeline.Outcome { return m.out }
 
 // NewPipelinedClient binds an asynchronous client to an endpoint;
-// inflight <= 0 selects a default of 16 slots.
+// inflight <= 0 selects pipeline.DefaultInflight.
 func NewPipelinedClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, inflight int) *PipelinedClient {
-	if inflight <= 0 {
-		inflight = 16
-	}
-	c := &PipelinedClient{ep: rdma.Async(ep), env: env, part: cat.Partitioner()}
-	c.slots = make([]*callSlot, inflight)
-	c.free = make([]int32, 0, inflight)
-	for i := range c.slots {
-		c.slots[i] = &callSlot{idx: int32(i)}
-		c.free = append(c.free, int32(i))
-	}
-	return c
+	c := NewClient(ep, env, cat)
+	eng := pipeline.New(pipeline.Config{
+		Ep:         ep,
+		Env:        env,
+		Inflight:   inflight,
+		Index:      c,
+		NewMachine: func() pipeline.Machine { return &rpc{c: c} },
+	})
+	return &PipelinedClient{eng: eng, serial: c}
 }
 
 // SetOpLog attaches the flight recorder: completed operations land as
 // retroactive spans carrying their partition, and every RPC records its
 // destination and outcome. A nil log disables tracing.
-func (c *PipelinedClient) SetOpLog(log *obs.Log) { c.log = log }
+func (c *PipelinedClient) SetOpLog(log *obs.Log) {
+	c.serial.SetOpLog(log)
+	c.eng.SetLog(log)
+}
 
 // Lookup submits an asynchronous lookup; cb runs when the RPC completes
-// (possibly within this call, if the client pumps rounds to free a slot).
+// (possibly within this call, if the engine pumps rounds to free a slot).
 func (c *PipelinedClient) Lookup(key uint64, cb func(values []uint64, err error)) {
-	s := c.take()
-	s.op, s.key = nam.OpLookup, key
-	s.onLookup = cb
-	c.post(s, &nam.Request{Op: nam.OpLookup, Key: key})
+	c.eng.Lookup(key, cb)
 }
 
 // Insert submits an asynchronous insert of (key, value).
 func (c *PipelinedClient) Insert(key, value uint64, cb func(err error)) {
-	s := c.take()
-	s.op, s.key = nam.OpInsert, key
-	s.onInsert = cb
-	c.post(s, &nam.Request{Op: nam.OpInsert, Key: key, Value: value})
+	c.eng.Insert(key, value, cb)
 }
 
 // Delete submits an asynchronous delete of one entry matching (key, value).
 func (c *PipelinedClient) Delete(key, value uint64, cb func(found bool, err error)) {
-	s := c.take()
-	s.op, s.key = nam.OpDelete, key
-	s.onDelete = cb
-	c.post(s, &nam.Request{Op: nam.OpDelete, Key: key, Value: value})
+	c.eng.Delete(key, value, cb)
+}
+
+// Range drains the pipeline and runs the serial client's range RPCs.
+func (c *PipelinedClient) Range(lo, hi uint64, emit func(k, v uint64) bool) error {
+	return c.eng.Range(lo, hi, emit)
 }
 
 // Drain blocks until every submitted operation has completed.
-func (c *PipelinedClient) Drain() {
-	for c.active > 0 {
-		c.pumpRound()
-	}
-}
+func (c *PipelinedClient) Drain() { c.eng.Drain() }
 
 // Inflight returns the number of call slots.
-func (c *PipelinedClient) Inflight() int { return len(c.slots) }
-
-func (c *PipelinedClient) take() *callSlot {
-	for len(c.free) == 0 {
-		c.pumpRound()
-	}
-	idx := c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
-	c.active++
-	return c.slots[idx]
-}
-
-func (c *PipelinedClient) post(s *callSlot, req *nam.Request) {
-	if c.log != nil {
-		s.start = c.log.Clock.Now()
-	}
-	s.server = c.part.Server(s.key)
-	c.ep.PostCall(s.server, req.Encode())
-	c.nextOrder = append(c.nextOrder, s.idx)
-}
-
-func (c *PipelinedClient) pumpRound() {
-	c.order, c.nextOrder = c.nextOrder, c.order[:0]
-	if len(c.order) == 0 {
-		if c.active == 0 {
-			return
-		}
-		panic("coarse: active operations with no posted calls")
-	}
-	c.ep.Flush()
-	c.comps = c.ep.Poll(c.comps[:0])
-	if len(c.comps) != len(c.order) {
-		panic(fmt.Sprintf("coarse: %d completions for %d posted calls", len(c.comps), len(c.order)))
-	}
-	for i, idx := range c.order {
-		c.finish(c.slots[idx], c.comps[i])
-	}
-}
-
-// finish decodes one slot's response exactly as the serial client does and
-// releases the slot before the callback runs (callbacks may resubmit).
-func (c *PipelinedClient) finish(s *callSlot, comp rdma.Completion) {
-	var resp nam.Response
-	err := comp.Err
-	if err == nil {
-		resp, err = nam.DecodeResponse(comp.Resp)
-		if err == nil {
-			err = resp.AsError()
-		}
-	}
-	c.log.RPCEvent(s.server, s.op, err)
-	if c.log != nil {
-		c.log.OpSpan(opKind(s.op), s.key, s.server, c.log.Clock.Now()-s.start, err)
-	}
-	c.active--
-	c.free = append(c.free, s.idx)
-	switch s.op {
-	case nam.OpLookup:
-		cb := s.onLookup
-		s.onLookup = nil
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		cb(resp.Values, nil)
-	case nam.OpInsert:
-		cb := s.onInsert
-		s.onInsert = nil
-		cb(err)
-	default:
-		cb := s.onDelete
-		s.onDelete = nil
-		cb(err == nil && resp.Status == nam.StatusOK, err)
-	}
-}
+func (c *PipelinedClient) Inflight() int { return c.eng.Inflight() }

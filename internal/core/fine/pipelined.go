@@ -2,7 +2,6 @@ package fine
 
 import (
 	"github.com/namdb/rdmatree/internal/btree"
-	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/obs"
 	"github.com/namdb/rdmatree/internal/pipeline"
@@ -13,15 +12,45 @@ import (
 // PipelinedClient is the asynchronous variant of Client: one compute thread
 // keeps up to inflight operations outstanding on its endpoint, and the
 // traversal steps of all in-flight operations share doorbell batches
-// (DESIGN.md §11). Operations complete through callbacks, in whatever order
-// the protocol resolves them; submission blocks only when every slot is
-// busy. The client embeds the same operation-level recovery as
-// core.Recovered, so it needs no Recovered wrapper.
+// (DESIGN.md §11). It is a pipeline.Engine whose slots each run a
+// btree.Traversal over the serial Client's tree. Operations complete through
+// callbacks, in whatever order the protocol resolves them; submission blocks
+// only when every slot is busy. The engine embeds the same operation-level
+// recovery as core.Recovered, so the client needs no Recovered wrapper.
 //
 // Like the serial Client, a PipelinedClient is owned by a single goroutine.
 type PipelinedClient struct {
-	eng  *pipeline.Engine
-	tree *btree.Tree
+	eng    *pipeline.Engine
+	serial *Client
+}
+
+// traversal is the fine design's pipeline.Machine: a btree.Traversal whose
+// per-attempt protocol counters go to the serial client's recorder, as a
+// serial attempt's do.
+type traversal struct {
+	*btree.Traversal
+	c *Client
+}
+
+func (m *traversal) Step(comps []rdma.Completion, sink pipeline.Sink) btree.StepResult {
+	return m.record(m.Traversal.Step(comps, sink))
+}
+
+func (m *traversal) Redo(sink pipeline.Sink) btree.StepResult { return m.Traversal.Redo(sink) }
+
+func (m *traversal) Abort(err error) btree.StepResult {
+	return m.record(m.Traversal.Abort(err))
+}
+
+func (m *traversal) Outcome() pipeline.Outcome {
+	return pipeline.Outcome{Values: m.Values, Found: m.Found, Part: -1}
+}
+
+func (m *traversal) record(res btree.StepResult) btree.StepResult {
+	if res.Status == btree.StepDone || res.Status == btree.StepFailed {
+		m.c.record(m.St)
+	}
+	return res
 }
 
 // NewPipelinedClient binds an asynchronous client to an endpoint. rrStart
@@ -30,20 +59,17 @@ type PipelinedClient struct {
 // (it implements rdma.Reconnector, e.g. faultnet), QP errors on one
 // in-flight operation are recovered without disturbing the others.
 func NewPipelinedClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart, inflight int) *PipelinedClient {
-	l := layout.New(cat.PageBytes)
-	t := btree.New(l, &btree.EndpointMem{
-		Ep:    ep,
-		Place: btree.RoundRobin(cat.Servers, rrStart),
-	}, cat.RootWords[0])
-	rc, _ := ep.(rdma.Reconnector)
+	c := NewClient(ep, env, cat, rrStart)
 	eng := pipeline.New(pipeline.Config{
-		Tree:        t,
-		Ep:          ep,
-		Env:         env,
-		Inflight:    inflight,
-		Reconnector: rc,
+		Ep:       ep,
+		Env:      env,
+		Inflight: inflight,
+		Index:    c,
+		NewMachine: func() pipeline.Machine {
+			return &traversal{Traversal: btree.NewTraversal(c.tree, env), c: c}
+		},
 	})
-	return &PipelinedClient{eng: eng, tree: t}
+	return &PipelinedClient{eng: eng, serial: c}
 }
 
 // Lookup submits an asynchronous lookup; cb runs when it completes (possibly
@@ -63,9 +89,9 @@ func (c *PipelinedClient) Delete(key, value uint64, cb func(found bool, err erro
 	c.eng.Delete(key, value, cb)
 }
 
-// Range drains the pipeline and runs a blocking one-sided leaf-level scan
-// with head-node prefetching (scans chain pointers and gain nothing from
-// overlapping with point operations).
+// Range drains the pipeline and runs the serial client's one-sided
+// leaf-level scan with head-node prefetching (scans chain pointers and gain
+// nothing from overlapping with point operations).
 func (c *PipelinedClient) Range(lo, hi uint64, emit func(k, v uint64) bool) error {
 	return c.eng.Range(lo, hi, emit)
 }
@@ -78,17 +104,24 @@ func (c *PipelinedClient) Inflight() int { return c.eng.Inflight() }
 
 // SetRecorder directs the per-operation protocol counters and the
 // pipeline-shape counters (doorbell coalescing, in-flight depth) into rec.
-func (c *PipelinedClient) SetRecorder(rec *telemetry.Recorder) { c.eng.SetRecorder(rec) }
+func (c *PipelinedClient) SetRecorder(rec *telemetry.Recorder) {
+	c.serial.SetRecorder(rec)
+	c.eng.SetRecorder(rec)
+}
 
 // SetOpLog attaches the flight recorder: completed operations land as
-// retroactive spans. The serial clients' per-access tracing does not apply
-// to the async dataplane (wrap the endpoint with telemetry.Wrap for verb-
-// level spans).
-func (c *PipelinedClient) SetOpLog(log *obs.Log) { c.eng.SetLog(log) }
+// retroactive spans, and Range and the blocking verbs a step issues (a
+// split's page allocation, a failed step's unlock) are traced as on the
+// serial client. Posted verbs are not traced per access (wrap the endpoint
+// with telemetry.Wrap for verb-level spans).
+func (c *PipelinedClient) SetOpLog(log *obs.Log) {
+	c.serial.SetOpLog(log)
+	c.eng.SetLog(log)
+}
 
 // SetSpinBudget bounds consistency restarts per traversal attempt, exactly
 // as on the serial client.
-func (c *PipelinedClient) SetSpinBudget(n int) { c.tree.SpinBudget = n }
+func (c *PipelinedClient) SetSpinBudget(n int) { c.serial.SetSpinBudget(n) }
 
 // Tree exposes the underlying engine (stats, invariant checks).
-func (c *PipelinedClient) Tree() *btree.Tree { return c.tree }
+func (c *PipelinedClient) Tree() *btree.Tree { return c.serial.Tree() }

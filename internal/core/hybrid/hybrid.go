@@ -524,12 +524,24 @@ func (c *Client) SetMirrorer(m Mirrorer) {
 }
 
 func (c *Client) call(server int, req *nam.Request) (*nam.Response, error) {
+	raw, err := c.ep.Call(server, c.encode(server, req))
+	return c.response(server, req.Op, raw, err)
+}
+
+// encode addresses req to server's replica group on replicated deployments
+// and encodes it.
+func (c *Client) encode(server int, req *nam.Request) []byte {
 	if c.cat.Replicated() {
 		req.Group = uint8(server)
 	}
-	raw, err := c.ep.Call(server, req.Encode())
+	return req.Encode()
+}
+
+// response finishes an RPC of type op to server that returned raw or failed
+// with err, serial or pipelined alike.
+func (c *Client) response(server int, op uint8, raw []byte, err error) (*nam.Response, error) {
 	if err != nil {
-		c.log.RPCEvent(server, req.Op, err)
+		c.log.RPCEvent(server, op, err)
 		return nil, err
 	}
 	resp, err := nam.DecodeResponse(raw)
@@ -538,32 +550,45 @@ func (c *Client) call(server int, req *nam.Request) (*nam.Response, error) {
 		// leaves the op un-acked (mirror-before-ack is the acked-data
 		// durability invariant).
 		if perr := c.mir.Push(resp.Dirty); perr != nil {
-			c.log.RPCEvent(server, req.Op, perr)
+			c.log.RPCEvent(server, op, perr)
 			return nil, perr
 		}
 	}
 	if err == nil {
 		err = resp.AsError()
 	}
-	c.log.RPCEvent(server, req.Op, err)
+	c.log.RPCEvent(server, op, err)
 	if err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
+// oneSided consults the decider: whether this traversal of server's upper
+// levels runs client-side.
+func (c *Client) oneSided(server int) bool {
+	return c.dec != nil && c.dec.Strategy(server) == policy.StrategyOneSided
+}
+
 // traverse locates the leaf responsible for key: an RPC to the partition
 // owner, or — when the policy engine says the crossover favors it — a
 // one-sided descent of the owner's inner levels.
 func (c *Client) traverse(server int, key uint64) (rdma.RemotePtr, error) {
-	if c.dec != nil && c.dec.Strategy(server) == policy.StrategyOneSided {
+	if c.oneSided(server) {
 		return c.traverseOneSided(server, key)
 	}
 	var t0 int64
 	if c.feed != nil {
 		t0 = c.pclock.Now()
 	}
-	resp, err := c.call(server, &nam.Request{Op: nam.OpTraverse, Key: key})
+	req := nam.Request{Op: nam.OpTraverse, Key: key}
+	raw, err := c.ep.Call(server, c.encode(server, &req))
+	return c.traversed(server, t0, raw, err)
+}
+
+// traversed finishes a traverse RPC to server issued at policy-clock time t0.
+func (c *Client) traversed(server int, t0 int64, raw []byte, err error) (rdma.RemotePtr, error) {
+	resp, err := c.response(server, nam.OpTraverse, raw, err)
 	if err != nil {
 		return rdma.NullPtr, err
 	}
@@ -601,30 +626,59 @@ func (c *Client) traverseOneSided(server int, key uint64) (rdma.RemotePtr, error
 	return leaf, nil
 }
 
-// Lookup implements core.Index: RPC traversal + one-sided leaf read.
-func (c *Client) Lookup(key uint64) ([]uint64, error) {
-	c.log.BeginOp(obs.OpLookup, key, c.part.Server(key))
-	vals, err := c.doLookup(key)
-	c.log.EndOp(err)
-	return vals, err
-}
-
-func (c *Client) doLookup(key uint64) ([]uint64, error) {
-	srv := c.part.Server(key)
-	leaf, err := c.traverse(srv, key)
-	if err != nil {
-		return nil, err
-	}
+// leafOp is the leaf half of a point operation on key, whose partition
+// server's upper levels located leaf: the one-sided leaf access and, when an
+// insert split the leaf, the install RPC reporting the separator upstairs.
+// It reports a lookup's values and whether a delete marked an entry.
+func (c *Client) leafOp(server int, op btree.TraversalOp, leaf rdma.RemotePtr, key, value uint64) ([]uint64, bool, error) {
 	var t0 int64
 	if c.feed != nil {
 		t0 = c.pclock.Now()
 	}
-	vals, st, err := c.leaf.LeafLookup(c.env, leaf, key)
+	var (
+		vals  []uint64
+		found bool
+		sp    *btree.Split
+		st    btree.Stats
+		err   error
+	)
+	bytes := 8
+	switch op {
+	case btree.TravLookup:
+		vals, st, err = c.leaf.LeafLookup(c.env, leaf, key)
+		bytes = 8 * len(vals)
+	case btree.TravInsert:
+		sp, st, err = c.leaf.LeafInsertAt(c.env, leaf, key, value)
+	default:
+		found, st, err = c.leaf.LeafDeleteAt(c.env, leaf, key, value)
+	}
 	c.record(st)
 	if c.feed != nil && err == nil {
-		c.feed.ObserveLeaf(srv, c.pclock.Now()-t0, st.ExposedRTTs, 8*len(vals))
+		c.feed.ObserveLeaf(server, c.pclock.Now()-t0, st.ExposedRTTs, bytes)
 	}
+	if err == nil && sp != nil {
+		_, err = c.call(server, &nam.Request{Op: nam.OpInstall, End: sp.Sep, Left: sp.Left, Right: sp.Right})
+	}
+	return vals, found, err
+}
+
+// Lookup implements core.Index: RPC traversal + one-sided leaf read.
+func (c *Client) Lookup(key uint64) ([]uint64, error) {
+	c.log.BeginOp(obs.OpLookup, key, c.part.Server(key))
+	vals, _, err := c.point(btree.TravLookup, key, 0)
+	c.log.EndOp(err)
 	return vals, err
+}
+
+// point runs a point operation: the upper-level traversal of key's
+// partition, then the leaf half.
+func (c *Client) point(op btree.TraversalOp, key, value uint64) ([]uint64, bool, error) {
+	srv := c.part.Server(key)
+	leaf, err := c.traverse(srv, key)
+	if err != nil {
+		return nil, false, err
+	}
+	return c.leafOp(srv, op, leaf, key, value)
 }
 
 // Range implements core.Index: per intersecting partition, RPC traversal to
@@ -676,58 +730,15 @@ func (c *Client) doRange(lo, hi uint64, emit func(k, v uint64) bool) error {
 // and — on split — a second RPC installing the separator upstairs.
 func (c *Client) Insert(key, value uint64) error {
 	c.log.BeginOp(obs.OpInsert, key, c.part.Server(key))
-	err := c.doInsert(key, value)
+	_, _, err := c.point(btree.TravInsert, key, value)
 	c.log.EndOp(err)
-	return err
-}
-
-func (c *Client) doInsert(key, value uint64) error {
-	srv := c.part.Server(key)
-	leaf, err := c.traverse(srv, key)
-	if err != nil {
-		return err
-	}
-	var t0 int64
-	if c.feed != nil {
-		t0 = c.pclock.Now()
-	}
-	sp, st, err := c.leaf.LeafInsertAt(c.env, leaf, key, value)
-	c.record(st)
-	if c.feed != nil && err == nil {
-		c.feed.ObserveLeaf(srv, c.pclock.Now()-t0, st.ExposedRTTs, 8)
-	}
-	if err != nil {
-		return err
-	}
-	if sp == nil {
-		return nil
-	}
-	_, err = c.call(srv, &nam.Request{Op: nam.OpInstall, End: sp.Sep, Left: sp.Left, Right: sp.Right})
 	return err
 }
 
 // Delete implements core.Index.
 func (c *Client) Delete(key, value uint64) (bool, error) {
 	c.log.BeginOp(obs.OpDelete, key, c.part.Server(key))
-	ok, err := c.doDelete(key, value)
+	_, ok, err := c.point(btree.TravDelete, key, value)
 	c.log.EndOp(err)
-	return ok, err
-}
-
-func (c *Client) doDelete(key, value uint64) (bool, error) {
-	srv := c.part.Server(key)
-	leaf, err := c.traverse(srv, key)
-	if err != nil {
-		return false, err
-	}
-	var t0 int64
-	if c.feed != nil {
-		t0 = c.pclock.Now()
-	}
-	ok, st, err := c.leaf.LeafDeleteAt(c.env, leaf, key, value)
-	c.record(st)
-	if c.feed != nil && err == nil {
-		c.feed.ObserveLeaf(srv, c.pclock.Now()-t0, st.ExposedRTTs, 8)
-	}
 	return ok, err
 }

@@ -1,380 +1,167 @@
 package hybrid
 
 import (
-	"fmt"
+	"errors"
 
 	"github.com/namdb/rdmatree/internal/btree"
-	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/obs"
-	"github.com/namdb/rdmatree/internal/partition"
+	"github.com/namdb/rdmatree/internal/pipeline"
 	"github.com/namdb/rdmatree/internal/policy"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/telemetry"
 )
 
 // PipelinedClient is the asynchronous variant of Client: up to inflight
-// traverse RPCs are outstanding at once, their SENDs sharing doorbell
-// batches (DESIGN.md §11). The hybrid design splits each operation into a
-// server-side upper-level traversal (one RPC) and a one-sided leaf access;
-// the RPC dominates the exposed latency and is what this client pipelines.
-// When a traverse completes, the slot's leaf access runs through the serial
-// one-sided protocol between rounds — blocking verbs are safe there because
-// delivery happens with no completions outstanding — and a split's install
-// RPC likewise runs serially (splits are rare; pipelining them would buy
-// nothing and complicate the exactly-once argument).
+// operations are outstanding at once, their traverse RPCs sharing doorbell
+// batches (DESIGN.md §11). It is a pipeline.Engine whose machine runs the
+// serial Client's two halves of an operation. The upper-level traversal is
+// either a posted traverse RPC — the call that dominates the exposed latency
+// and that the engine pipelines — or, when the decider picks one-sided, the
+// client-side descent, run with blocking fused reads in the machine's first
+// step. The leaf half (the one-sided leaf access, and a split's install RPC)
+// then runs with blocking verbs in the same step; splits are rare, and
+// pipelining the leaf half would buy little and complicate the exactly-once
+// argument. The engine calls machines only outside a Flush..Poll window,
+// where the rdma.AsyncEndpoint contract allows blocking verbs next to
+// other slots' unflushed posts.
 //
 // Like the serial Client, a PipelinedClient is owned by a single goroutine.
 type PipelinedClient struct {
-	ep   rdma.AsyncEndpoint
-	env  rdma.Env
-	cat  *nam.Catalog
-	part partition.Partitioner
-	leaf *btree.Tree
-	rec  *telemetry.Recorder
-	log  *obs.Log
-
-	// dec, when non-nil, selects the traversal strategy per operation; a
-	// slot decided one-sided posts nothing and runs its descent at the next
-	// round boundary (see pumpRound — the boundary is the ordering fence
-	// that makes a mid-pipeline strategy switch safe).
-	dec    policy.Decider
-	upper  []*btree.Tree
-	feed   policy.Feed
-	pclock policy.Clock
-
-	slots  []*travSlot
-	free   []int32
-	active int
-	// order[i] is the slot that posted the i-th traverse of the round being
-	// delivered; nextOrder accumulates the next round.
-	order, nextOrder []int32
-	comps            []rdma.Completion
+	eng    *pipeline.Engine
+	serial *Client
 }
 
-type travSlot struct {
-	idx        int32
-	op         uint8 // nam.OpLookup / nam.OpInsert / nam.OpDelete
+// machine is the hybrid design's pipeline.Machine.
+type machine struct {
+	c          *Client
+	op         btree.TraversalOp
 	key, value uint64
-	server     int
-	start      int64
-	strat      policy.Strategy
-	t0         int64 // signal-feed timestamp (posting time, RPC strategy)
-
-	onLookup func(values []uint64, err error)
-	onInsert func(err error)
-	onDelete func(found bool, err error)
+	t0         int64 // policy-clock posting time of the traverse RPC
+	out        pipeline.Outcome
 }
+
+func (m *machine) Begin(op btree.TraversalOp, key, value uint64) {
+	m.op, m.key, m.value = op, key, value
+	m.out = pipeline.Outcome{Part: m.c.part.Server(key)}
+}
+
+// Step locates the leaf — by the traverse RPC's completion, or on the first
+// step by a one-sided descent when the decider picks it — and runs the leaf
+// half. A QP error on the RPC blocks the slot for a reconnect; errors of the
+// blocking verbs fail the attempt into the engine's operation-level
+// recovery.
+func (m *machine) Step(comps []rdma.Completion, sink pipeline.Sink) btree.StepResult {
+	srv := m.out.Part
+	var leaf rdma.RemotePtr
+	var err error
+	if comps != nil {
+		leaf, err = m.c.traversed(srv, m.t0, comps[0].Resp, comps[0].Err)
+		if errors.Is(err, rdma.ErrQPError) {
+			return btree.StepResult{Status: btree.StepBlocked, Server: srv, Err: err}
+		}
+	} else if m.c.oneSided(srv) {
+		leaf, err = m.c.traverseOneSided(srv, m.key)
+	} else {
+		return m.Redo(sink)
+	}
+	if err == nil {
+		m.out.Values, m.out.Found, err = m.c.leafOp(srv, m.op, leaf, m.key, m.value)
+	}
+	if err != nil {
+		return btree.StepResult{Status: btree.StepFailed, Err: err}
+	}
+	return btree.StepResult{Status: btree.StepDone}
+}
+
+// Redo posts the traverse RPC; a failed call never executed (DESIGN.md §9),
+// so reposting it is safe.
+func (m *machine) Redo(sink pipeline.Sink) btree.StepResult {
+	if m.c.feed != nil {
+		m.t0 = m.c.pclock.Now()
+	}
+	req := nam.Request{Op: nam.OpTraverse, Key: m.key}
+	sink.PostCall(m.out.Part, m.c.encode(m.out.Part, &req))
+	return btree.StepResult{Status: btree.StepRunning}
+}
+
+func (m *machine) Abort(err error) btree.StepResult {
+	return btree.StepResult{Status: btree.StepFailed, Err: err}
+}
+
+func (m *machine) TakePause() bool { return false }
+
+func (m *machine) Outcome() pipeline.Outcome { return m.out }
 
 // NewPipelinedClient binds an asynchronous client to an endpoint; rrStart
-// staggers split-page placement, inflight <= 0 selects a default of 16
-// slots.
+// staggers split-page placement, inflight <= 0 selects
+// pipeline.DefaultInflight.
 func NewPipelinedClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart, inflight int) *PipelinedClient {
-	if inflight <= 0 {
-		inflight = 16
-	}
-	l := layout.New(cat.PageBytes)
-	leaf := btree.New(l, &btree.EndpointMem{
-		Ep:    ep,
-		Place: btree.RoundRobin(cat.Servers, rrStart),
-	}, rdma.NullPtr)
-	c := &PipelinedClient{
-		ep:   rdma.Async(ep),
-		env:  env,
-		cat:  cat,
-		part: cat.Partitioner(),
-		leaf: leaf,
-	}
-	c.slots = make([]*travSlot, inflight)
-	c.free = make([]int32, 0, inflight)
-	for i := range c.slots {
-		c.slots[i] = &travSlot{idx: int32(i)}
-		c.free = append(c.free, int32(i))
-	}
-	return c
+	c := NewClient(ep, env, cat, rrStart)
+	eng := pipeline.New(pipeline.Config{
+		Ep:         ep,
+		Env:        env,
+		Inflight:   inflight,
+		Index:      c,
+		NewMachine: func() pipeline.Machine { return &machine{c: c} },
+	})
+	return &PipelinedClient{eng: eng, serial: c}
 }
 
-// SetRecorder directs the client-side (one-sided leaf level) protocol
-// counters into rec; server-side traversal counters come from the handler's
-// Options.Telemetry as in the serial client.
-func (c *PipelinedClient) SetRecorder(rec *telemetry.Recorder) { c.rec = rec }
+// SetRecorder directs the client-side (one-sided) protocol counters and the
+// pipeline-shape counters into rec; server-side traversal counters come
+// from the handler's Options.Telemetry as in the serial client.
+func (c *PipelinedClient) SetRecorder(rec *telemetry.Recorder) {
+	c.serial.SetRecorder(rec)
+	c.eng.SetRecorder(rec)
+}
 
 // SetOpLog attaches the flight recorder: completed operations land as
-// retroactive spans carrying their partition, and traverse/install RPCs
-// record destination and outcome. A nil log disables tracing.
-func (c *PipelinedClient) SetOpLog(log *obs.Log) { c.log = log }
-
-// SetSpinBudget bounds the leaf engine's consistency restarts per operation.
-func (c *PipelinedClient) SetSpinBudget(n int) {
-	c.leaf.SpinBudget = n
-	for _, t := range c.upper {
-		t.SpinBudget = n
-	}
+// retroactive spans carrying their partition, traverse/install RPCs record
+// destination and outcome, and the blocking one-sided accesses are traced
+// as on the serial client. A nil log disables tracing.
+func (c *PipelinedClient) SetOpLog(log *obs.Log) {
+	c.serial.SetOpLog(log)
+	c.eng.SetLog(log)
 }
+
+// SetSpinBudget bounds the one-sided consistency restarts per operation.
+func (c *PipelinedClient) SetSpinBudget(n int) { c.serial.SetSpinBudget(n) }
 
 // SetDecider installs the traversal-policy hook, exactly as on the serial
-// Client. The decider is consulted at submission time; operations decided
-// one-sided skip the doorbell batch entirely and run their fused-read
-// descent at the round boundary.
-func (c *PipelinedClient) SetDecider(d policy.Decider) {
-	c.dec = d
-	if d == nil {
-		return
-	}
-	if c.upper == nil {
-		l := layout.New(c.cat.PageBytes)
-		c.upper = make([]*btree.Tree, c.cat.Servers)
-		for srv := range c.upper {
-			t := btree.New(l, &btree.EndpointMem{Ep: c.ep, Place: btree.Fixed(srv)}, c.cat.RootWords[srv])
-			t.SpinBudget = c.leaf.SpinBudget
-			c.upper[srv] = t
-		}
-	}
-}
+// Client. It is consulted once per attempt, in the machine's first step.
+func (c *PipelinedClient) SetDecider(d policy.Decider) { c.serial.SetDecider(d) }
 
-// SetSignalFeed directs traversal observations into f, timestamped off
-// clock. RPC traverses are measured post-to-delivery (their exposed,
-// pipelined cost); one-sided traverses around the descent itself.
+// SetSignalFeed directs traversal and leaf observations into f, timestamped
+// off clock. Traverse RPCs are measured post-to-delivery (their exposed,
+// pipelined cost).
 func (c *PipelinedClient) SetSignalFeed(f policy.Feed, clock policy.Clock) {
-	c.feed, c.pclock = f, clock
+	c.serial.SetSignalFeed(f, clock)
 }
 
 // Lookup submits an asynchronous lookup; cb runs when the operation
-// completes (possibly within this call, if the client pumps rounds to free
-// a slot).
+// completes (possibly within this call).
 func (c *PipelinedClient) Lookup(key uint64, cb func(values []uint64, err error)) {
-	s := c.take()
-	s.op, s.key = nam.OpLookup, key
-	s.onLookup = cb
-	c.post(s)
+	c.eng.Lookup(key, cb)
 }
 
 // Insert submits an asynchronous insert of (key, value).
 func (c *PipelinedClient) Insert(key, value uint64, cb func(err error)) {
-	s := c.take()
-	s.op, s.key, s.value = nam.OpInsert, key, value
-	s.onInsert = cb
-	c.post(s)
+	c.eng.Insert(key, value, cb)
 }
 
 // Delete submits an asynchronous delete of one entry matching (key, value).
 func (c *PipelinedClient) Delete(key, value uint64, cb func(found bool, err error)) {
-	s := c.take()
-	s.op, s.key, s.value = nam.OpDelete, key, value
-	s.onDelete = cb
-	c.post(s)
+	c.eng.Delete(key, value, cb)
+}
+
+// Range drains the pipeline and runs the serial client's range scan.
+func (c *PipelinedClient) Range(lo, hi uint64, emit func(k, v uint64) bool) error {
+	return c.eng.Range(lo, hi, emit)
 }
 
 // Drain blocks until every submitted operation has completed.
-func (c *PipelinedClient) Drain() {
-	for c.active > 0 {
-		c.pumpRound()
-	}
-}
+func (c *PipelinedClient) Drain() { c.eng.Drain() }
 
 // Inflight returns the number of operation slots.
-func (c *PipelinedClient) Inflight() int { return len(c.slots) }
-
-func (c *PipelinedClient) take() *travSlot {
-	for len(c.free) == 0 {
-		c.pumpRound()
-	}
-	idx := c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
-	c.active++
-	return c.slots[idx]
-}
-
-func (c *PipelinedClient) post(s *travSlot) {
-	if c.log != nil {
-		s.start = c.log.Clock.Now()
-	}
-	s.server = c.part.Server(s.key)
-	s.strat = policy.StrategyRPC
-	if c.dec != nil {
-		s.strat = c.dec.Strategy(s.server)
-	}
-	if c.feed != nil {
-		s.t0 = c.pclock.Now()
-	}
-	c.nextOrder = append(c.nextOrder, s.idx)
-	if s.strat == policy.StrategyOneSided {
-		// Nothing to post: the one-sided descent runs when this round is
-		// pumped. The slot still occupies its position in the round's
-		// delivery order, so results stay in submission order.
-		return
-	}
-	req := nam.Request{Op: nam.OpTraverse, Key: s.key}
-	c.ep.PostCall(s.server, req.Encode())
-}
-
-// pumpRound flushes the round's doorbell batch, reaps exactly its RPC
-// completions, and delivers every slot in posting order. Slots decided
-// one-sided execute here, between Poll and the next doorbell — the round
-// boundary is an ordering fence (nothing is outstanding), which is why a
-// strategy switch between rounds can never reorder or orphan a completion.
-func (c *PipelinedClient) pumpRound() {
-	c.order, c.nextOrder = c.nextOrder, c.order[:0]
-	if len(c.order) == 0 {
-		if c.active == 0 {
-			return
-		}
-		panic("hybrid: active operations with no posted calls")
-	}
-	posted := 0
-	for _, idx := range c.order {
-		if c.slots[idx].strat != policy.StrategyOneSided {
-			posted++
-		}
-	}
-	if posted > 0 {
-		c.ep.Flush()
-		c.comps = c.ep.Poll(c.comps[:0])
-	} else {
-		c.comps = c.comps[:0]
-	}
-	if len(c.comps) != posted {
-		panic(fmt.Sprintf("hybrid: %d completions for %d posted calls", len(c.comps), posted))
-	}
-	ci := 0
-	for _, idx := range c.order {
-		s := c.slots[idx]
-		if s.strat == policy.StrategyOneSided {
-			c.deliverOneSided(s)
-			continue
-		}
-		c.deliver(s, c.comps[ci])
-		ci++
-	}
-}
-
-// deliverOneSided runs a slot's one-sided upper-level descent and its leaf
-// access. Blocking verbs are safe here for the same reason as the install
-// RPC in deliver: delivery happens with no completions outstanding.
-func (c *PipelinedClient) deliverOneSided(s *travSlot) {
-	var t0 int64
-	if c.feed != nil {
-		t0 = c.pclock.Now()
-	}
-	leaf, st, err := c.upper[s.server].FindLeaf(c.env, s.key)
-	c.record(st)
-	if err == nil && c.feed != nil {
-		c.feed.ObserveTraverse(s.server, policy.StrategyOneSided, c.pclock.Now()-t0, st.Depth)
-	}
-	if err == nil && leaf.IsNull() {
-		err = fmt.Errorf("hybrid: traverse returned null leaf")
-	}
-	if err != nil {
-		c.finish(s, nil, false, err)
-		return
-	}
-	c.leafAccess(s, leaf)
-}
-
-// deliver consumes one slot's traverse response and runs its leaf access.
-func (c *PipelinedClient) deliver(s *travSlot, comp rdma.Completion) {
-	leaf, load, err := decodeTraverse(comp)
-	c.log.RPCEvent(s.server, nam.OpTraverse, err)
-	if err != nil {
-		c.finish(s, nil, false, err)
-		return
-	}
-	if c.feed != nil {
-		c.feed.ObserveTraverse(s.server, policy.StrategyRPC, c.pclock.Now()-s.t0, 0)
-		c.feed.ObserveCPU(s.server, float64(load)/100)
-	}
-	c.leafAccess(s, leaf)
-}
-
-// leafAccess runs the slot's one-sided leaf operation against leaf and
-// finishes the slot.
-func (c *PipelinedClient) leafAccess(s *travSlot, leaf rdma.RemotePtr) {
-	switch s.op {
-	case nam.OpLookup:
-		vals, st, err := c.leaf.LeafLookup(c.env, leaf, s.key)
-		c.record(st)
-		c.finish(s, vals, false, err)
-	case nam.OpInsert:
-		sp, st, err := c.leaf.LeafInsertAt(c.env, leaf, s.key, s.value)
-		c.record(st)
-		if err == nil && sp != nil {
-			// Report the split upstairs; the serial round trip is fine
-			// mid-delivery (nothing outstanding, later slots' traverses are
-			// buffered until the next doorbell).
-			req := nam.Request{Op: nam.OpInstall, End: sp.Sep, Left: sp.Left, Right: sp.Right}
-			var raw []byte
-			raw, err = c.ep.Call(s.server, req.Encode())
-			if err == nil {
-				var resp nam.Response
-				resp, err = nam.DecodeResponse(raw)
-				if err == nil {
-					err = resp.AsError()
-				}
-			}
-			c.log.RPCEvent(s.server, nam.OpInstall, err)
-		}
-		c.finish(s, nil, false, err)
-	default:
-		ok, st, err := c.leaf.LeafDeleteAt(c.env, leaf, s.key, s.value)
-		c.record(st)
-		c.finish(s, nil, ok, err)
-	}
-}
-
-func decodeTraverse(comp rdma.Completion) (rdma.RemotePtr, uint8, error) {
-	if comp.Err != nil {
-		return rdma.NullPtr, 0, comp.Err
-	}
-	resp, err := nam.DecodeResponse(comp.Resp)
-	if err == nil {
-		err = resp.AsError()
-	}
-	if err != nil {
-		return rdma.NullPtr, 0, err
-	}
-	if resp.Ptr.IsNull() {
-		return rdma.NullPtr, 0, fmt.Errorf("hybrid: traverse returned null leaf")
-	}
-	return resp.Ptr, resp.Load, nil
-}
-
-func (c *PipelinedClient) record(st btree.Stats) {
-	if c.rec != nil {
-		c.rec.RecordIndexOp(st)
-	}
-}
-
-// finish releases the slot before the callback runs (callbacks may
-// resubmit).
-func (c *PipelinedClient) finish(s *travSlot, vals []uint64, found bool, err error) {
-	if c.log != nil {
-		c.log.OpSpan(opKind(s.op), s.key, s.server, c.log.Clock.Now()-s.start, err)
-	}
-	c.active--
-	c.free = append(c.free, s.idx)
-	switch s.op {
-	case nam.OpLookup:
-		cb := s.onLookup
-		s.onLookup = nil
-		cb(vals, err)
-	case nam.OpInsert:
-		cb := s.onInsert
-		s.onInsert = nil
-		cb(err)
-	default:
-		cb := s.onDelete
-		s.onDelete = nil
-		cb(found, err)
-	}
-}
-
-func opKind(op uint8) obs.OpKind {
-	switch op {
-	case nam.OpLookup:
-		return obs.OpLookup
-	case nam.OpInsert:
-		return obs.OpInsert
-	default:
-		return obs.OpDelete
-	}
-}
+func (c *PipelinedClient) Inflight() int { return c.eng.Inflight() }

@@ -32,6 +32,10 @@ type RecoveryEvents interface {
 	EpochFence()
 }
 
+// DefaultMaxOpAttempts is how often one operation is run (first run
+// included) across epoch-fenced recoveries when the caller sets no bound.
+const DefaultMaxOpAttempts = 6
+
 // Recovered wraps an index client with operation-level fault recovery: when
 // an operation fails with a transient verb error that survived the verb
 // layer's bounded retries (or with btree.ErrSpinBudget from a starved page
@@ -74,7 +78,7 @@ var _ Index = (*Recovered)(nil)
 // Recover wraps idx. counters may be nil.
 func Recover(idx Index, maxOpAttempts int, counters RecoveryCounters) *Recovered {
 	if maxOpAttempts <= 0 {
-		maxOpAttempts = 6
+		maxOpAttempts = DefaultMaxOpAttempts
 	}
 	return &Recovered{idx: idx, MaxOpAttempts: maxOpAttempts, counters: counters}
 }
@@ -89,7 +93,7 @@ func (r *Recovered) WithEvents(ev RecoveryEvents) *Recovered {
 	return r
 }
 
-// recoverable reports whether a new epoch and a re-traversal can be expected
+// Recoverable reports whether a new epoch and a re-traversal can be expected
 // to clear err.
 //
 // rdma.ErrGroupMoved is the replication failover signal: it is deliberately
@@ -97,7 +101,7 @@ func (r *Recovered) WithEvents(ev RecoveryEvents) *Recovered {
 // primary is unsound — see the sentinel's doc), but the *operation* is fully
 // recoverable: the fence invalidates cached state and the re-run traverses
 // from the root under the post-failover routing.
-func recoverable(err error) bool {
+func Recoverable(err error) bool {
 	if errors.Is(err, rdma.ErrServerLost) {
 		return false
 	}
@@ -142,7 +146,7 @@ func (r *Recovered) Range(lo, hi uint64, emit func(k, v uint64) bool) error {
 // Insert implements Index.
 func (r *Recovered) Insert(key, value uint64) error {
 	err := r.idx.Insert(key, value)
-	for attempt := 1; recoverable(err) && attempt < r.MaxOpAttempts; attempt++ {
+	for attempt := 1; Recoverable(err) && attempt < r.MaxOpAttempts; attempt++ {
 		r.fence()
 		// Epoch-fenced presence check: if the interrupted attempt published
 		// (key, value), the insert committed — re-running it would create a
@@ -152,7 +156,7 @@ func (r *Recovered) Insert(key, value uint64) error {
 		// duplicate.
 		vals, lerr := r.idx.Lookup(key)
 		if lerr != nil {
-			if !recoverable(lerr) {
+			if !Recoverable(lerr) {
 				return lerr
 			}
 			continue
@@ -164,7 +168,7 @@ func (r *Recovered) Insert(key, value uint64) error {
 		}
 		err = r.idx.Insert(key, value)
 	}
-	if recoverable(err) {
+	if Recoverable(err) {
 		return fmt.Errorf("core: insert(%d) unrecovered after %d attempts: %w", key, r.MaxOpAttempts, err)
 	}
 	return err
@@ -184,11 +188,11 @@ func (r *Recovered) Delete(key, value uint64) (bool, error) {
 // do runs an idempotent operation under the recovery loop.
 func (r *Recovered) do(op func() error) error {
 	err := op()
-	for attempt := 1; recoverable(err) && attempt < r.MaxOpAttempts; attempt++ {
+	for attempt := 1; Recoverable(err) && attempt < r.MaxOpAttempts; attempt++ {
 		r.fence()
 		err = op()
 	}
-	if recoverable(err) {
+	if Recoverable(err) {
 		return fmt.Errorf("core: operation unrecovered after %d attempts: %w", r.MaxOpAttempts, err)
 	}
 	return err

@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"github.com/namdb/rdmatree/internal/core"
+	"github.com/namdb/rdmatree/internal/core/coarse"
 	"github.com/namdb/rdmatree/internal/core/fine"
+	"github.com/namdb/rdmatree/internal/core/hybrid"
+	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
 )
 
@@ -37,12 +40,20 @@ func TestRangeEndingOnSplitDuplicates(t *testing.T) {
 			if n, err := cl.check(); err != nil {
 				t.Fatalf("invariants (%d): %v", n, err)
 			}
-			clients := map[string]func(lo, hi uint64, emit func(k, v uint64) bool) error{"serial": idx.Range}
-			if cl.name == "fine" {
-				// The only pipelined client with a Range surface; the coarse
-				// and hybrid pipelined clients pipeline point operations only.
-				pc := fine.NewPipelinedClient(cl.fab.Endpoint(), direct.Env{}, cl.cat, 1, 8)
-				clients["pipelined"] = pc.Range
+			var pc interface {
+				Range(lo, hi uint64, emit func(k, v uint64) bool) error
+			}
+			switch cl.cat.Design {
+			case nam.FineGrained:
+				pc = fine.NewPipelinedClient(cl.fab.Endpoint(), direct.Env{}, cl.cat, 1, 8)
+			case nam.CoarseGrained:
+				pc = coarse.NewPipelinedClient(cl.fab.Endpoint(), direct.Env{}, cl.cat, 8)
+			default:
+				pc = hybrid.NewPipelinedClient(cl.fab.Endpoint(), direct.Env{}, cl.cat, 1, 8)
+			}
+			clients := map[string]func(lo, hi uint64, emit func(k, v uint64) bool) error{
+				"serial":    idx.Range,
+				"pipelined": pc.Range,
 			}
 			for mode, scan := range clients {
 				for _, lo := range []uint64{dup - 9, dup, 0} {

@@ -7,11 +7,14 @@ import (
 
 	"github.com/namdb/rdmatree/internal/core"
 	"github.com/namdb/rdmatree/internal/core/coarse"
+	"github.com/namdb/rdmatree/internal/core/fine"
 	"github.com/namdb/rdmatree/internal/core/hybrid"
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/partition"
+	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
+	"github.com/namdb/rdmatree/internal/rdma/repl"
 	"github.com/namdb/rdmatree/internal/workload"
 )
 
@@ -21,13 +24,42 @@ type asyncIndex interface {
 	Lookup(key uint64, cb func(values []uint64, err error))
 	Insert(key, value uint64, cb func(err error))
 	Delete(key, value uint64, cb func(found bool, err error))
+	Range(lo, hi uint64, emit func(k, v uint64) bool) error
 	Drain()
 }
 
 var (
+	_ asyncIndex = (*fine.PipelinedClient)(nil)
 	_ asyncIndex = (*coarse.PipelinedClient)(nil)
 	_ asyncIndex = (*hybrid.PipelinedClient)(nil)
 )
+
+// The range section inserts rangeInserts keys from rangeFirst on and scans
+// [rangeLo, rangeHi], which straddles the boundary between the first two
+// partitions of NewRangeUniform(3, 1<<16).
+const (
+	rangeFirst, rangeInserts = 21840, 10
+	rangeLo, rangeHi         = 21830, 21860
+)
+
+func scanSection(b *strings.Builder, scan func(lo, hi uint64, emit func(k, v uint64) bool) error) {
+	err := scan(rangeLo, rangeHi, func(k, v uint64) bool {
+		fmt.Fprintf(b, "scan %d %d\n", k, v)
+		return true
+	})
+	fmt.Fprintf(b, "scan err %v\n", err)
+}
+
+// driveSerialRange is driveSerial followed by the range section.
+func driveSerialRange(t *testing.T, idx core.Index) string {
+	var b strings.Builder
+	b.WriteString(driveSerial(t, idx))
+	for k := uint64(rangeFirst); k < rangeFirst+rangeInserts; k++ {
+		fmt.Fprintf(&b, "put %d %v\n", k, idx.Insert(k, k*3))
+	}
+	scanSection(&b, idx.Range)
+	return b.String()
+}
 
 // driveAsync mirrors driveSerial through the callback surface, draining at
 // section boundaries.
@@ -90,6 +122,21 @@ func driveAsync(t *testing.T, c asyncIndex) string {
 		keys = append(keys, k)
 	}
 	runGets("chk %d -> %v %v\n", keys)
+
+	// Range section: the inserts are still in flight when Range is called,
+	// so the scan sees them only if Range drains first.
+	putErrs = make([]error, rangeInserts)
+	for i := range putErrs {
+		i := i
+		k := uint64(rangeFirst + i)
+		c.Insert(k, k*3, func(err error) { putErrs[i] = err })
+	}
+	var scan strings.Builder
+	scanSection(&scan, c.Range)
+	for i, err := range putErrs {
+		fmt.Fprintf(&b, "put %d %v\n", rangeFirst+i, err)
+	}
+	b.WriteString(scan.String())
 	return b.String()
 }
 
@@ -111,7 +158,7 @@ func TestConformanceCoarse(t *testing.T) {
 		return fab, cat
 	}
 	fab, cat := build()
-	serial := driveSerial(t, coarse.NewClient(fab.Endpoint(), direct.Env{}, cat))
+	serial := driveSerialRange(t, coarse.NewClient(fab.Endpoint(), direct.Env{}, cat))
 	for _, inflight := range []int{1, 8} {
 		fab, cat := build()
 		got := driveAsync(t, coarse.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, inflight))
@@ -141,13 +188,103 @@ func TestConformanceHybrid(t *testing.T) {
 		return fab, cat
 	}
 	fab, cat := build()
-	serial := driveSerial(t, hybrid.NewClient(fab.Endpoint(), direct.Env{}, cat, 0))
+	serial := driveSerialRange(t, hybrid.NewClient(fab.Endpoint(), direct.Env{}, cat, 0))
 	for _, inflight := range []int{1, 8} {
 		fab, cat := build()
 		got := driveAsync(t, hybrid.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, 0, inflight))
 		if serial != got {
 			t.Errorf("hybrid in-flight %d diverged from serial:\nserial:\n%s\npipelined:\n%s",
 				inflight, serial, got)
+		}
+	}
+}
+
+// TestReplicatedRoutingMatchesSerial pins the pipelined RPC clients to their
+// serial clients on a k=2 replicated deployment, with lookups of preloaded
+// keys in every partition. Replicated handlers serve whichever replica group
+// a request names, so a request must name its partition's group; one that
+// does not is answered from another partition's tree.
+func TestReplicatedRoutingMatchesSerial(t *testing.T) {
+	const (
+		servers  = 3
+		region   = 64 << 20
+		keyspace = 1 << 16
+		preload  = 3000
+		step     = 21
+	)
+	spec := core.BuildSpec{
+		N:         preload,
+		At:        func(i int) (uint64, uint64) { return uint64(i) * step, uint64(i) },
+		HeadEvery: 8,
+	}
+	// deploy builds a replicated deployment and returns its serial and
+	// pipelined clients.
+	deploy := func(design string, inflight int) (core.Index, asyncIndex) {
+		lay := nam.NewReplicaLayout(servers, 2, region)
+		fab := direct.New(servers, region, int(lay.Reserved()))
+		for i := 0; i < servers; i++ {
+			fab.Server(i).Alloc = rdma.NewAllocator(lay.SlabLo(i), lay.SlabHi(i))
+		}
+		part := partition.NewRangeUniform(servers, keyspace)
+		var serial core.Index
+		var pipelined asyncIndex
+		switch design {
+		case "coarse":
+			srv := coarse.NewServer(fab, coarse.Options{Layout: layout.New(512), Part: part, Replicas: 2, RegionBytes: region})
+			cat, err := srv.Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab.SetHandler(srv.Handler())
+			serial = coarse.NewClient(fab.Endpoint(), direct.Env{}, cat)
+			pipelined = coarse.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, inflight)
+		default:
+			srv := hybrid.NewServer(fab, hybrid.Options{Layout: layout.New(512), Part: part, Replicas: 2, RegionBytes: region})
+			cat, err := srv.Build(fab.Endpoint(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab.SetHandler(srv.Handler())
+			serial = hybrid.NewClient(fab.Endpoint(), direct.Env{}, cat, 0)
+			pipelined = hybrid.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, 0, inflight)
+		}
+		repl.SyncReplicas(lay, fab.Server)
+		return serial, pipelined
+	}
+	var keys []uint64
+	for i := 0; i < preload; i += 22 {
+		keys = append(keys, uint64(i)*step)
+	}
+	for _, design := range []string{"coarse", "hybrid"} {
+		serial, _ := deploy(design, 1)
+		var want []string
+		for _, k := range keys {
+			vals, err := serial.Lookup(k)
+			if err != nil || len(vals) != 1 || vals[0] != k/step {
+				t.Fatalf("%s serial lookup %d = %v, %v; want [%d]", design, k, vals, err, k/step)
+			}
+			want = append(want, fmt.Sprintf("%v %v", vals, err))
+		}
+		for _, inflight := range []int{1, 8} {
+			_, pc := deploy(design, inflight)
+			got := make([]string, len(keys))
+			for i, k := range keys {
+				i := i
+				pc.Lookup(k, func(vals []uint64, err error) { got[i] = fmt.Sprintf("%v %v", vals, err) })
+			}
+			pc.Drain()
+			wrong := 0
+			for i := range keys {
+				if got[i] != want[i] {
+					wrong++
+					if wrong <= 3 {
+						t.Errorf("%s in-flight %d: lookup %d = %s, serial %s", design, inflight, keys[i], got[i], want[i])
+					}
+				}
+			}
+			if wrong > 0 {
+				t.Errorf("%s in-flight %d: %d of %d lookups differ from serial", design, inflight, wrong, len(keys))
+			}
 		}
 	}
 }

@@ -1,12 +1,17 @@
-// Package pipeline implements the asynchronous pipelined client dataplane:
-// one Engine keeps up to Inflight index operations outstanding on a single
-// endpoint (one queue pair per memory server), advancing each operation as a
-// resumable state machine (btree.Traversal) driven by verb completions.
+// Package pipeline implements the asynchronous pipelined client dataplane of
+// all three index designs: one Engine keeps up to Inflight index operations
+// outstanding on a single endpoint (one queue pair per memory server),
+// advancing each operation as a resumable step machine (Machine) driven by
+// verb completions. A design supplies only its machine — the fine design a
+// btree.Traversal, the coarse design one RPC, the hybrid design a traverse
+// RPC or one-sided descent followed by its one-sided leaf half — and the
+// engine owns the rest: the slot ring, rounds, backpressure, Drain,
+// callbacks, op spans, reconnects and operation-level recovery.
 //
 // Scheduling is bulk-synchronous rounds. In each round the engine flushes
-// everything the in-flight traversals posted — verbs from *different*
+// everything the in-flight machines posted — verbs from *different*
 // operations coalesce into the same doorbell batch — polls the batch, and
-// delivers each traversal its own completions, which makes it post its next
+// delivers each machine its own completions, which makes it post its next
 // step. One exposed round trip therefore advances every in-flight operation
 // by one protocol step: point-lookup throughput approaches
 // depth-independent RTT amortization instead of paying depth round trips per
@@ -18,19 +23,20 @@
 //     traversal's fused page+version read pair validates exactly as the
 //     serial Mem.ReadValidated batch does, even with other operations'
 //     verbs interleaved around it.
-//   - Step isolation. A traversal only ever has one step outstanding, and a
-//     step's verbs target one page. Verbs of different in-flight operations
-//     are mutually unordered — which is exactly the concurrency the B-link
-//     protocol already tolerates between different clients.
+//   - Step isolation. A machine only ever has one step outstanding, and a
+//     traversal step's verbs target one page. Verbs of different in-flight
+//     operations are mutually unordered — which is exactly the concurrency
+//     the B-link protocol already tolerates between different clients.
 //
-// Fault handling composes with the client-side recovery stack: transient
-// verb failures repost the step (the serial retry.Policy budget), QP errors
-// park the traversal until the engine re-establishes the queue pair
-// (neighbouring operations keep flowing), and operation-level failures run
-// the same epoch-fenced re-traversal as core.Recovered — including the
-// insert presence check that makes re-runs exactly-once. A fault on one
-// in-flight operation never stalls or corrupts its neighbours: its slot
-// retries independently while every other slot advances each round.
+// Fault handling composes with the client-side recovery stack: a traversal
+// reposts a step after a transient verb failure (the serial retry.Policy
+// budget), QP errors on posted verbs park the machine until the engine
+// re-establishes the queue pair (neighbouring operations keep flowing), and
+// failed attempts run the same epoch-fenced re-run as core.Recovered, under
+// its Recoverable policy and DefaultMaxOpAttempts bound — including the
+// insert presence check that makes re-runs exactly-once. A fault on one in-flight
+// operation never stalls or corrupts its neighbours: its slot retries
+// independently while every other slot advances each round.
 package pipeline
 
 import (
@@ -38,6 +44,7 @@ import (
 	"fmt"
 
 	"github.com/namdb/rdmatree/internal/btree"
+	"github.com/namdb/rdmatree/internal/core"
 	"github.com/namdb/rdmatree/internal/obs"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/telemetry"
@@ -46,62 +53,82 @@ import (
 const (
 	// DefaultInflight is the default number of operation slots.
 	DefaultInflight = 16
-	// DefaultMaxOpAttempts mirrors core.DefaultMaxOpAttempts: how often one
-	// operation is run (first run included) across epoch-fenced recoveries.
-	DefaultMaxOpAttempts = 6
 	// reconnectBudget bounds reconnect attempts per QP-error episode,
 	// mirroring retry.Policy.MaxAttempts.
 	reconnectBudget = 8
 )
 
-// Config configures an Engine. Tree, Ep and Env are required; everything
-// else is optional.
+// Sink receives the verbs a Machine posts: a traversal's one-sided verbs
+// and the two-sided call. The Engine implements it, tagging each verb with
+// the slot that posted it.
+type Sink interface {
+	btree.PostSink
+	PostCall(server int, req []byte)
+}
+
+// Machine is one slot's per-operation step machine; btree.Traversal defines
+// the semantics of each method. Begin arms it, Step with nil completions
+// runs its first step, and every later Step receives the completions of
+// exactly the verbs the previous Step or Redo posted, in posting order. A
+// step may also issue blocking verbs on the engine's endpoint: the engine
+// calls machines only outside a Flush..Poll window, where the
+// rdma.AsyncEndpoint contract allows them.
+type Machine interface {
+	Begin(op btree.TraversalOp, key, value uint64)
+	Step(comps []rdma.Completion, sink Sink) btree.StepResult
+	// Redo resumes after StepBlocked once the queue pair was re-established.
+	Redo(sink Sink) btree.StepResult
+	// Abort gives up on a blocked operation.
+	Abort(err error) btree.StepResult
+	// TakePause reports, and clears, a request for a backoff pause.
+	TakePause() bool
+	// Outcome reports the operation's result.
+	Outcome() Outcome
+}
+
+// Outcome is a machine's operation result. Values and Found are valid after
+// StepDone; Part after Begin.
+type Outcome struct {
+	// Values holds a lookup's values; it may alias machine scratch.
+	Values []uint64
+	// Found reports whether a delete marked an entry.
+	Found bool
+	// Part is the partition server the operation's span carries (-1: none).
+	Part int
+}
+
+// Config configures an Engine. Every field but Inflight is required.
 type Config struct {
-	// Tree is the client's handle onto the fine-grained index. Every
-	// operation, splits and separator installs included, runs as steps of a
-	// btree.Traversal against it; the engine calls none of its blocking
-	// write paths. The traversals share its layout, root cache, spin budget
-	// and Mem, whose AllocPage places split pages.
-	Tree *btree.Tree
 	// Ep is the client's endpoint. Its non-blocking surface (rdma.Async) is
-	// the dataplane. Its blocking surface carries only what a step cannot
-	// post: a split's page allocation and a failed step's best-effort
-	// unlock, issued while other slots' posts of the next round are still
-	// unflushed (the rdma.AsyncEndpoint contract allows this). The
-	// traversals issue those through the Tree's Mem, which
-	// fine.NewPipelinedClient builds over this same endpoint.
+	// the dataplane; the machines issue what a step cannot post through
+	// their own handles onto this same endpoint. When Ep implements
+	// rdma.Reconnector (faultnet), QP errors on one in-flight operation are
+	// recovered by reconnecting without disturbing the others.
 	Ep rdma.Endpoint
 	// Env is the client's execution environment (time charging, backoff).
 	Env rdma.Env
 	// Inflight is the number of operation slots (default DefaultInflight).
 	Inflight int
-	// MaxOpAttempts bounds epoch-fenced re-runs per operation (default
-	// DefaultMaxOpAttempts).
-	MaxOpAttempts int
-	// Reconnector re-establishes queue pairs after rdma.ErrQPError. Leave
-	// nil for transports that recover by teardown + lazy redial (tcpnet) or
-	// cannot fail (direct, simnet without faults).
-	Reconnector rdma.Reconnector
-	// Rec receives per-verb, per-op and pipeline counters. May be shared.
-	Rec *telemetry.Recorder
-	// Log is the flight recorder: each completed operation lands as a
-	// retroactive span (obs.Log.OpSpan), fences and reconnects as events.
-	Log *obs.Log
+	// Index is the design's serial client over Ep, sharing the machines'
+	// cached descent state. Range runs on it, and epoch fences invalidate
+	// through it when it implements core.RootInvalidator.
+	Index core.Index
+	// NewMachine builds one slot's machine.
+	NewMachine func() Machine
 }
 
-// slot is one operation slot: a traversal state machine plus the operation's
-// recovery bookkeeping. Slots and their buffers live for the engine's
-// lifetime, so steady-state operation allocates nothing.
+// slot is one operation slot: a step machine plus the operation's recovery
+// bookkeeping. Slots and their buffers live for the engine's lifetime, so
+// steady-state operation allocates nothing.
 type slot struct {
 	idx int32
-	tr  *btree.Traversal
+	m   Machine
 
 	op         btree.TraversalOp
 	key, value uint64
 	attempts   int
 	insRecover bool // insert recovery: presence-check lookup in flight
 	start      int64
-	st         btree.Stats
 
 	blockedOn   int
 	blockedErr  error
@@ -117,13 +144,17 @@ type slot struct {
 type Engine struct {
 	cfg Config
 	ep  rdma.AsyncEndpoint
+	rc  rdma.Reconnector
+	inv core.RootInvalidator
+	rec *telemetry.Recorder
+	log *obs.Log
 
 	slots  []*slot
 	free   []int32
 	active int
 
-	// posting is the slot whose traversal is currently being advanced; the
-	// PostSink methods tag every posted verb with it.
+	// posting is the slot whose machine is currently being advanced; the
+	// Sink methods tag every posted verb with it.
 	posting int32
 	// postOrder[i] is the slot that posted the i-th verb of the current
 	// round; completions arrive in posting order, and each slot's verbs for
@@ -135,7 +166,7 @@ type Engine struct {
 	pauseWanted          bool
 }
 
-var _ btree.PostSink = (*Engine)(nil)
+var _ Sink = (*Engine)(nil)
 
 // New creates an engine. The endpoint's native non-blocking surface is used
 // when it has one (all bundled transports and the telemetry decorator);
@@ -144,14 +175,13 @@ func New(cfg Config) *Engine {
 	if cfg.Inflight <= 0 {
 		cfg.Inflight = DefaultInflight
 	}
-	if cfg.MaxOpAttempts <= 0 {
-		cfg.MaxOpAttempts = DefaultMaxOpAttempts
-	}
 	e := &Engine{cfg: cfg, ep: rdma.Async(cfg.Ep)}
+	e.rc, _ = cfg.Ep.(rdma.Reconnector)
+	e.inv, _ = cfg.Index.(core.RootInvalidator)
 	e.slots = make([]*slot, cfg.Inflight)
 	e.free = make([]int32, 0, cfg.Inflight)
 	for i := range e.slots {
-		e.slots[i] = &slot{idx: int32(i), tr: btree.NewTraversal(cfg.Tree, cfg.Env)}
+		e.slots[i] = &slot{idx: int32(i), m: cfg.NewMachine()}
 		e.free = append(e.free, int32(i))
 	}
 	return e
@@ -160,18 +190,19 @@ func New(cfg Config) *Engine {
 // Inflight returns the engine's slot count.
 func (e *Engine) Inflight() int { return len(e.slots) }
 
-// SetRecorder directs telemetry (verb counters come from the endpoint
-// decorator; the engine contributes per-op index stats and pipeline-shape
-// counters). A nil rec disables recording.
-func (e *Engine) SetRecorder(rec *telemetry.Recorder) { e.cfg.Rec = rec }
+// SetRecorder directs the pipeline-shape counters (doorbell coalescing,
+// in-flight depth, completed operations, recoveries, reconnects) into rec.
+// Verb counters come from the endpoint decorator and per-op index counters
+// from the design's client. A nil rec disables recording.
+func (e *Engine) SetRecorder(rec *telemetry.Recorder) { e.rec = rec }
 
 // SetLog attaches the flight recorder. Unlike the serial clients' depth-
 // counted BeginOp/EndOp bracketing — which cannot express interleaved
 // operations — the engine records each operation as a retroactive span when
 // it completes (obs.Log.OpSpan). A nil log disables tracing.
-func (e *Engine) SetLog(l *obs.Log) { e.cfg.Log = l }
+func (e *Engine) SetLog(l *obs.Log) { e.log = l }
 
-// --- btree.PostSink -------------------------------------------------------
+// --- Sink -----------------------------------------------------------------
 
 // PostRead implements btree.PostSink.
 func (e *Engine) PostRead(p rdma.RemotePtr, dst []uint64) {
@@ -197,11 +228,17 @@ func (e *Engine) PostFetchAdd(p rdma.RemotePtr, delta uint64) {
 	e.nextOrder = append(e.nextOrder, e.posting)
 }
 
+// PostCall implements Sink.
+func (e *Engine) PostCall(server int, req []byte) {
+	e.ep.PostCall(server, req)
+	e.nextOrder = append(e.nextOrder, e.posting)
+}
+
 // --- submission -----------------------------------------------------------
 
 // Lookup submits a lookup. cb runs when the operation completes (possibly
 // within this call, when the engine had to pump rounds to free a slot). The
-// values slice aliases slot scratch: it is valid only inside the callback.
+// values slice may alias slot scratch: it is valid only inside the callback.
 // Callbacks may submit new operations.
 func (e *Engine) Lookup(key uint64, cb func(values []uint64, err error)) {
 	s := e.take()
@@ -234,24 +271,13 @@ func (e *Engine) Drain() {
 	}
 }
 
-// Range drains the pipeline and executes a blocking one-sided range scan.
-// Scans are not pipelined: a scan is a pointer chain (each leaf names the
-// next), so overlapping its steps with point operations buys no round trips,
-// and the serial scan already prefetches via head nodes.
+// Range drains the pipeline and runs the serial client's range scan. Scans
+// are not pipelined: a scan is a pointer chain (each leaf names the next),
+// so overlapping its steps with point operations buys no round trips, and
+// the serial scan already prefetches via head nodes.
 func (e *Engine) Range(lo, hi uint64, emit func(k, v uint64) bool) error {
 	e.Drain()
-	var start int64
-	if e.cfg.Log != nil {
-		start = e.cfg.Log.Clock.Now()
-	}
-	st, err := e.cfg.Tree.Scan(e.cfg.Env, lo, hi, emit)
-	if e.cfg.Rec != nil {
-		e.cfg.Rec.RecordIndexOp(st)
-	}
-	if e.cfg.Log != nil {
-		e.cfg.Log.OpSpan(obs.OpRange, lo, -1, e.cfg.Log.Clock.Now()-start, err)
-	}
-	return err
+	return e.cfg.Index.Range(lo, hi, emit)
 }
 
 // take claims a free slot, pumping rounds until one completes if all are
@@ -269,33 +295,31 @@ func (e *Engine) take() *slot {
 func (e *Engine) begin(s *slot) {
 	s.attempts = 1
 	s.insRecover = false
-	s.st = btree.Stats{}
-	if e.cfg.Log != nil {
-		s.start = e.cfg.Log.Clock.Now()
+	if e.log != nil {
+		s.start = e.log.Clock.Now()
 	}
 	e.advance(s, s.op)
 }
 
-// advance (re)arms s's traversal for op and runs its first step.
+// advance (re)arms s's machine for op and runs its first step.
 func (e *Engine) advance(s *slot, op btree.TraversalOp) {
 	value := s.value
 	if op == btree.TravLookup {
 		value = 0
 	}
-	s.tr.Begin(op, s.key, value)
+	s.m.Begin(op, s.key, value)
 	e.posting = s.idx
-	res := s.tr.Step(nil, e)
-	e.handle(s, res)
+	e.handle(s, s.m.Step(nil, e))
 }
 
 // --- the round loop -------------------------------------------------------
 
 // pumpRound runs one scheduling round: doorbell the verbs posted since the
-// last round, poll their completions, and deliver each traversal its run.
+// last round, poll their completions, and deliver each machine its run.
 func (e *Engine) pumpRound() {
 	e.postOrder, e.nextOrder = e.nextOrder, e.postOrder[:0]
 	if e.pauseWanted {
-		// Coalesced backoff: however many traversals hit a consistency
+		// Coalesced backoff: however many machines hit a consistency
 		// restart or transient fault last round, the engine pays one pause.
 		e.cfg.Env.Pause()
 		e.pauseWanted = false
@@ -311,8 +335,8 @@ func (e *Engine) pumpRound() {
 		panic("pipeline: active operations with no posted verbs")
 	}
 	e.ep.Flush()
-	if e.cfg.Rec != nil {
-		e.cfg.Rec.RecordPipelineRound(int64(e.active))
+	if e.rec != nil {
+		e.rec.RecordPipelineRound(int64(e.active))
 	}
 	e.comps = e.ep.Poll(e.comps[:0])
 	if len(e.comps) != len(e.postOrder) {
@@ -326,8 +350,7 @@ func (e *Engine) pumpRound() {
 		}
 		s := e.slots[idx]
 		e.posting = idx
-		res := s.tr.Step(e.comps[i:j], e)
-		e.handle(s, res)
+		e.handle(s, s.m.Step(e.comps[i:j], e))
 		i = j
 	}
 	e.retryBlocked()
@@ -335,14 +358,13 @@ func (e *Engine) pumpRound() {
 
 // handle dispatches one step result.
 func (e *Engine) handle(s *slot, res btree.StepResult) {
-	if s.tr.TakePause() {
+	if s.m.TakePause() {
 		e.pauseWanted = true
 	}
 	switch res.Status {
 	case btree.StepRunning:
 		// Verbs queued for the next round.
 	case btree.StepDone:
-		s.st.Add(s.tr.St)
 		if s.insRecover {
 			e.presenceResult(s)
 			return
@@ -354,7 +376,6 @@ func (e *Engine) handle(s *slot, res btree.StepResult) {
 		s.reconnTries = 0
 		e.blocked = append(e.blocked, s.idx)
 	case btree.StepFailed:
-		s.st.Add(s.tr.St)
 		e.opError(s, res.Err)
 	}
 }
@@ -364,7 +385,7 @@ func (e *Engine) handle(s *slot, res btree.StepResult) {
 // tokens).
 func (e *Engine) presenceResult(s *slot) {
 	s.insRecover = false
-	for _, v := range s.tr.Values {
+	for _, v := range s.m.Outcome().Values {
 		if v == s.value {
 			// The interrupted attempt published (key, value): committed.
 			e.finish(s, nil)
@@ -374,25 +395,16 @@ func (e *Engine) presenceResult(s *slot) {
 	e.advance(s, btree.TravInsert)
 }
 
-// recoverable mirrors core.Recovered: a new epoch and a re-traversal can be
-// expected to clear transient verb failures and blown spin budgets, but not
-// a lost region.
-func recoverable(err error) bool {
-	if errors.Is(err, rdma.ErrServerLost) {
-		return false
-	}
-	return rdma.IsTransient(err) || errors.Is(err, btree.ErrSpinBudget)
-}
-
-// opError applies operation-level recovery to a failed attempt.
+// opError applies core.Recovered's operation-level recovery to a failed
+// attempt.
 func (e *Engine) opError(s *slot, err error) {
-	if !recoverable(err) {
+	if !core.Recoverable(err) {
 		e.finish(s, err)
 		return
 	}
-	if s.attempts >= e.cfg.MaxOpAttempts {
+	if s.attempts >= core.DefaultMaxOpAttempts {
 		e.finish(s, fmt.Errorf("pipeline: %s(%d) unrecovered after %d attempts: %w",
-			opName(s.op), s.key, e.cfg.MaxOpAttempts, err))
+			opName(s.op), s.key, core.DefaultMaxOpAttempts, err))
 		return
 	}
 	s.attempts++
@@ -406,20 +418,22 @@ func (e *Engine) opError(s *slot, err error) {
 	e.advance(s, s.op)
 }
 
-// fence opens a new epoch for one slot's re-traversal: drop the shared root
-// cache (whatever the interrupted attempt cached is suspect) and record the
-// fence. Other slots' in-flight steps are unaffected — they hold validated
-// copies and their own page pointers, which stay correct under B-link
-// semantics; at worst their next restart re-reads the fresh root too.
+// fence opens a new epoch for one slot's re-run: drop the client's cached
+// descent state (whatever the interrupted attempt cached is suspect) and
+// record the fence. Other slots' in-flight steps are unaffected — they hold
+// validated copies and their own page pointers, which stay correct under
+// B-link semantics; at worst their next restart re-reads the fresh root too.
 func (e *Engine) fence() {
-	e.cfg.Tree.InvalidateRoot()
-	if e.cfg.Rec != nil {
-		e.cfg.Rec.CountOpRecovery()
+	if e.inv != nil {
+		e.inv.InvalidateRoot()
 	}
-	e.cfg.Log.EpochFence()
+	if e.rec != nil {
+		e.rec.CountOpRecovery()
+	}
+	e.log.EpochFence()
 }
 
-// retryBlocked attempts one reconnect per blocked slot. Success reposts the
+// retryBlocked attempts one reconnect per blocked slot. Success redoes the
 // interrupted step; ErrServerDown re-parks the slot (bounded attempts, with
 // the engine's coalesced pause as backoff — faultnet's Reconnect advances
 // the fault schedule, so a scripted restart always arrives); anything else
@@ -433,16 +447,15 @@ func (e *Engine) retryBlocked() {
 	for _, idx := range pending {
 		s := e.slots[idx]
 		err := e.reconnect(s)
-		if e.cfg.Log != nil && e.cfg.Reconnector != nil {
-			e.cfg.Log.ReconnectEvent(s.blockedOn, err == nil)
+		if e.log != nil && e.rc != nil {
+			e.log.ReconnectEvent(s.blockedOn, err == nil)
 		}
 		if err == nil {
-			if e.cfg.Rec != nil {
-				e.cfg.Rec.CountReconnect()
+			if e.rec != nil {
+				e.rec.CountReconnect()
 			}
 			e.posting = s.idx
-			res := s.tr.Redo(e)
-			e.handle(s, res)
+			e.handle(s, s.m.Redo(e))
 			continue
 		}
 		if errors.Is(err, rdma.ErrServerDown) {
@@ -455,30 +468,29 @@ func (e *Engine) retryBlocked() {
 			err = fmt.Errorf("pipeline: server %d down after %d reconnect attempts: %w",
 				s.blockedOn, s.reconnTries, err)
 		}
-		res := s.tr.Abort(err)
-		e.handle(s, res)
+		e.handle(s, s.m.Abort(err))
 	}
 }
 
 func (e *Engine) reconnect(s *slot) error {
-	if e.cfg.Reconnector == nil {
+	if e.rc == nil {
 		// No reconnect surface (tcpnet recovers by teardown + lazy redial;
 		// direct/simnet QPs cannot error): surface the verb error so the
 		// step aborts into operation-level recovery.
 		return s.blockedErr
 	}
-	return e.cfg.Reconnector.Reconnect(s.blockedOn)
+	return e.rc.Reconnect(s.blockedOn)
 }
 
 // finish completes s's operation: telemetry, flight-recorder span, slot
 // release, then the callback (which may immediately submit a new operation).
 func (e *Engine) finish(s *slot, err error) {
-	if e.cfg.Rec != nil {
-		e.cfg.Rec.RecordIndexOp(s.st)
-		e.cfg.Rec.CountPipelineOp()
+	out := s.m.Outcome()
+	if e.rec != nil {
+		e.rec.CountPipelineOp()
 	}
-	if e.cfg.Log != nil {
-		e.cfg.Log.OpSpan(obsKind(s.op), s.key, -1, e.cfg.Log.Clock.Now()-s.start, err)
+	if e.log != nil {
+		e.log.OpSpan(obsKind(s.op), s.key, out.Part, e.log.Clock.Now()-s.start, err)
 	}
 	e.active--
 	e.free = append(e.free, s.idx)
@@ -487,7 +499,7 @@ func (e *Engine) finish(s *slot, err error) {
 		cb := s.onLookup
 		s.onLookup = nil
 		if cb != nil {
-			cb(s.tr.Values, err)
+			cb(out.Values, err)
 		}
 	case btree.TravInsert:
 		cb := s.onInsert
@@ -499,7 +511,7 @@ func (e *Engine) finish(s *slot, err error) {
 		cb := s.onDelete
 		s.onDelete = nil
 		if cb != nil {
-			cb(s.tr.Found, err)
+			cb(out.Found, err)
 		}
 	}
 }
