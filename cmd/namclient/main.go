@@ -1,6 +1,9 @@
 // Command namclient is a compute-server client for a NAM cluster of
-// namserver processes, using the fine-grained one-sided index design
-// (Section 4): all index logic runs here, the memory servers stay passive.
+// namserver processes. With the default fine-grained one-sided design
+// (Section 4) all index logic runs here and the memory servers stay
+// passive; with -design coarse or hybrid the servers run the matching
+// design and serve its catalog, which the client fetches before anything
+// else.
 //
 // Usage:
 //
@@ -11,6 +14,7 @@
 //	namclient -servers :7000,:7001 scan 100 200
 //	namclient -servers :7000,:7001 bench -clients 8 -seconds 3
 //	namclient -servers :7000,:7001 bench -clients 1 -inflight 8
+//	namclient -servers :7000,:7001 -design coarse scan 100 200
 package main
 
 import (
@@ -25,12 +29,10 @@ import (
 	"time"
 
 	"github.com/namdb/rdmatree/internal/core"
-	"github.com/namdb/rdmatree/internal/core/coarse"
 	"github.com/namdb/rdmatree/internal/core/fine"
-	"github.com/namdb/rdmatree/internal/core/hybrid"
+	"github.com/namdb/rdmatree/internal/deploy"
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
-	"github.com/namdb/rdmatree/internal/partition"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/retry"
 	"github.com/namdb/rdmatree/internal/rdma/tcpnet"
@@ -41,9 +43,8 @@ import (
 func main() {
 	var (
 		servers = flag.String("servers", ":7000", "comma-separated memory server addresses (order = server IDs)")
-		page    = flag.Int("page", 1024, "index page size in bytes (must match across all clients)")
+		page    = flag.Int("page", 1024, "index page size in bytes of a -design fine index (must match across all clients; coarse and hybrid servers serve theirs)")
 		design  = flag.String("design", "fine", "fine (one-sided), coarse, or hybrid (servers must run the matching -design)")
-		keyspce = flag.Int("keyspace", 100000, "key space of the coarse deployment (must match namserver -size)")
 	)
 	flag.Parse()
 	addrs := strings.Split(*servers, ",")
@@ -51,90 +52,46 @@ func main() {
 	if len(args) == 0 {
 		usage()
 	}
-
-	// Client-side robustness counters: every endpoint runs under the shared
-	// retry policy, and every index client under operation-level recovery, so
-	// retries, QP reconnects, and epoch-fenced re-traversals are counted here
-	// (servers only see the verbs that reached them).
-	clientRec := telemetry.NewRecorder(len(addrs))
-	robust := func(id int, ep *tcpnet.Endpoint) rdma.Endpoint {
-		return retry.Wrap(ep, &retry.Policy{
-			Seed:     int64(id),
-			Sleep:    time.Sleep,
-			Counters: clientRec,
-		})
+	d, err := nam.ParseDesign(*design)
+	if err != nil {
+		log.Fatalf("namclient: %v", err)
 	}
 
-	var cat *nam.Catalog
-	var client func(id int) (core.Index, *tcpnet.Endpoint)
-	var pipelined func(ep rdma.Endpoint, id, inflight int) asyncLookups
-	switch *design {
-	case "fine":
-		cat = &nam.Catalog{
-			Design:    nam.FineGrained,
-			PageBytes: *page,
-			Servers:   len(addrs),
-			RootWords: []rdma.RemotePtr{nam.RootWordPtr(0)},
+	// The coarse and hybrid servers serve their catalog; a client routing
+	// keys by a catalog of its own could send them to the wrong partitions
+	// without anything noticing.
+	boot := tcpnet.Dial(addrs)
+	dep, err := deploy.Connect(boot, d, *page)
+	boot.Close()
+	if err != nil {
+		log.Fatalf("namclient: %v", err)
+	}
+
+	// Client-side robustness counters: every serial client runs under the
+	// shared retry policy and operation-level recovery, so retries, QP
+	// reconnects, and epoch-fenced re-traversals are counted here (servers
+	// only see the verbs that reached them).
+	clientRec := telemetry.NewRecorder(len(addrs))
+	retryPolicy := func(id int) *retry.Policy {
+		return &retry.Policy{Seed: int64(id), Sleep: time.Sleep, Counters: clientRec}
+	}
+	// client dials its own connection and builds the client stack over it:
+	// serial under the retry and recovery rings, or pipelined with inflight
+	// operations in flight (the engine retries and recovers itself).
+	client := func(id, inflight int) (deploy.Client, *tcpnet.Endpoint) {
+		ep := tcpnet.Dial(addrs)
+		o := deploy.ClientOptions{ID: id, Ep: ep, Env: rdma.NopEnv{}, Inflight: inflight}
+		if inflight == 0 {
+			o.Retry, o.Recover, o.Counters = retryPolicy(id), true, clientRec
 		}
-		client = func(id int) (core.Index, *tcpnet.Endpoint) {
-			ep := tcpnet.Dial(addrs)
-			return core.Recover(fine.NewClient(robust(id, ep), rdma.NopEnv{}, cat, id), 0, clientRec), ep
-		}
-		pipelined = func(ep rdma.Endpoint, id, inflight int) asyncLookups {
-			return fine.NewPipelinedClient(ep, rdma.NopEnv{}, cat, id, inflight)
-		}
-	case "coarse":
-		// The coarse catalog is fetched from server 0's agent, which built
-		// it from its own flags (or reconstructed from ours as a fallback).
-		boot := tcpnet.Dial(addrs)
-		raw, err := boot.Call(0, (&nam.Request{Op: nam.OpCatalog}).Encode())
-		if err == nil {
-			if resp, derr := nam.DecodeResponse(raw); derr == nil && resp.AsError() == nil {
-				cat, _ = nam.DecodeCatalog(coarse.WordsToBytes(resp.Pairs))
-			}
-		}
-		boot.Close()
-		if cat == nil {
-			cat = &nam.Catalog{
-				Design:      nam.CoarseGrained,
-				PageBytes:   *page,
-				Servers:     len(addrs),
-				PartKind:    nam.PartRange,
-				RangeBounds: partition.NewRangeUniform(len(addrs), uint64(*keyspce)).Bounds(),
-			}
-		}
-		client = func(id int) (core.Index, *tcpnet.Endpoint) {
-			ep := tcpnet.Dial(addrs)
-			return core.Recover(coarse.NewClient(robust(id, ep), rdma.NopEnv{}, cat), 0, clientRec), ep
-		}
-		pipelined = func(ep rdma.Endpoint, _, inflight int) asyncLookups {
-			return coarse.NewPipelinedClient(ep, rdma.NopEnv{}, cat, inflight)
-		}
-	case "hybrid":
-		cat = &nam.Catalog{
-			Design:      nam.Hybrid,
-			PageBytes:   *page,
-			Servers:     len(addrs),
-			PartKind:    nam.PartRange,
-			RangeBounds: partition.NewRangeUniform(len(addrs), uint64(*keyspce)).Bounds(),
-		}
-		for i := range addrs {
-			cat.RootWords = append(cat.RootWords, nam.RootWordPtr(i))
-		}
-		client = func(id int) (core.Index, *tcpnet.Endpoint) {
-			ep := tcpnet.Dial(addrs)
-			return core.Recover(hybrid.NewClient(robust(id, ep), rdma.NopEnv{}, cat, id), 0, clientRec), ep
-		}
-		pipelined = func(ep rdma.Endpoint, id, inflight int) asyncLookups {
-			return hybrid.NewPipelinedClient(ep, rdma.NopEnv{}, cat, id, inflight)
-		}
-	default:
-		log.Fatalf("namclient: unknown -design %q", *design)
+		cl, err := dep.Client(o)
+		check(err)
+		return cl, ep
 	}
 
 	switch args[0] {
 	case "build":
-		if *design != "fine" {
+		if d != nam.FineGrained {
 			log.Fatal("namclient: build is for -design fine; coarse servers build their own partitions (namserver -size)")
 		}
 		fs := flag.NewFlagSet("build", flag.ExitOnError)
@@ -157,33 +114,33 @@ func main() {
 
 	case "get":
 		k := parseU64(args, 1)
-		c, ep := client(0)
+		c, ep := client(0, 0)
 		defer ep.Close()
-		vals, err := c.Lookup(k)
+		vals, err := c.Serial.Lookup(k)
 		check(err)
 		fmt.Printf("%d -> %v\n", k, vals)
 
 	case "put":
 		k, v := parseU64(args, 1), parseU64(args, 2)
-		c, ep := client(0)
+		c, ep := client(0, 0)
 		defer ep.Close()
-		check(c.Insert(k, v))
+		check(c.Serial.Insert(k, v))
 		fmt.Printf("inserted (%d, %d)\n", k, v)
 
 	case "del":
 		k, v := parseU64(args, 1), parseU64(args, 2)
-		c, ep := client(0)
+		c, ep := client(0, 0)
 		defer ep.Close()
-		ok, err := c.Delete(k, v)
+		ok, err := c.Serial.Delete(k, v)
 		check(err)
 		fmt.Printf("deleted (%d, %d): %v\n", k, v, ok)
 
 	case "scan":
 		lo, hi := parseU64(args, 1), parseU64(args, 2)
-		c, ep := client(0)
+		c, ep := client(0, 0)
 		defer ep.Close()
 		n := 0
-		check(c.Range(lo, hi, func(k, v uint64) bool {
+		check(c.Serial.Range(lo, hi, func(k, v uint64) bool {
 			fmt.Printf("%d -> %d\n", k, v)
 			n++
 			return n < 1000
@@ -214,13 +171,9 @@ func main() {
 						return true
 					}
 				}
-				if *inflight > 0 {
-					// The pipelined client embeds its own recovery and needs
-					// the connection's native post/poll surface, which
-					// retry.Endpoint does not forward.
-					ep := tcpnet.Dial(addrs)
-					defer ep.Close()
-					pipe := pipelined(ep, c, *inflight)
+				cl, ep := client(c, *inflight)
+				defer ep.Close()
+				if pipe := cl.Pipelined; pipe != nil {
 					var failed error
 					done := func(_ []uint64, err error) {
 						if err != nil {
@@ -238,10 +191,8 @@ func main() {
 					}
 					return
 				}
-				idx, ep := client(c)
-				defer ep.Close()
 				for running() {
-					if _, err := idx.Lookup(gen.Next().Key); err != nil {
+					if _, err := cl.Serial.Lookup(gen.Next().Key); err != nil {
 						log.Printf("client %d: %v", c, err)
 						return
 					}
@@ -267,7 +218,7 @@ func main() {
 		// stack, whose own counters print at the end.
 		ep := tcpnet.Dial(addrs)
 		defer ep.Close()
-		rep := robust(0, ep)
+		rep := retry.Wrap(ep, retryPolicy(0))
 		for s := range addrs {
 			fmt.Printf("server %d (%s):\n", s, addrs[s])
 			m, err := telemetry.FetchStats(rep, s)
@@ -286,15 +237,11 @@ func main() {
 			clientRec.Retries(), clientRec.Reconnects(), clientRec.OpRecoveries())
 
 	case "check":
-		if *design != "fine" {
-			log.Fatal("namclient: check is for -design fine")
-		}
-		// A bare client: the verification sweep wants raw errors, not the
+		// A bare sweep: the verification wants raw errors, not the
 		// retry/recovery stack.
 		ep := tcpnet.Dial(addrs)
 		defer ep.Close()
-		c := fine.NewClient(ep, rdma.NopEnv{}, cat, 0)
-		live, err := c.Tree().CheckInvariants(rdma.NopEnv{})
+		live, err := dep.CheckInvariants(ep)
 		check(err)
 		fmt.Printf("index invariants OK, %d live entries\n", live)
 
@@ -321,9 +268,9 @@ func check(err error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: namclient -servers a,b,c <command>
+	fmt.Fprintln(os.Stderr, `usage: namclient -servers a,b,c [-design fine|coarse|hybrid] [-page P] <command>
 commands:
-  build  -size N -headevery K   bulk-load keys 0..N-1
+  build  -size N -headevery K   bulk-load keys 0..N-1 (-design fine)
   get    <key>                  point lookup
   put    <key> <value>          insert
   del    <key> <value>          delete one entry
@@ -332,13 +279,6 @@ commands:
                                 closed-loop point-query benchmark; K > 0 keeps K
                                 lookups per client in flight (doorbell batches)
   stats                         fetch each server's live telemetry counters
-  check                         verify tree invariants`)
+  check                         verify every tree's invariants`)
 	os.Exit(2)
-}
-
-// asyncLookups is the part of every design's pipelined client that bench
-// -inflight drives.
-type asyncLookups interface {
-	Lookup(key uint64, cb func(values []uint64, err error))
-	Drain()
 }

@@ -7,22 +7,27 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"github.com/namdb/rdmatree/internal/analysis"
 	"github.com/namdb/rdmatree/internal/stats"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run prints the four explorations to w.
+func run(w io.Writer) {
 	p := analysis.Defaults()
-	fmt.Println(analysis.Table1String(p))
+	fmt.Fprintln(w, analysis.Table1String(p))
 
 	// 1. The paper's Figure 3: range queries, sel = 0.1%, skew z = 10.
-	fmt.Println("Maximal throughput, range queries (sel=0.001, z=10):")
-	fmt.Println(stats.Table("memory servers", "ops/s",
+	fmt.Fprintln(w, "Maximal throughput, range queries (sel=0.001, z=10):")
+	fmt.Fprintln(w, stats.Table("memory servers", "ops/s",
 		analysis.Fig3Series(p, 0.001, 10, []int{2, 4, 8, 16, 32, 64})...))
 
 	// 2. How much skew does it take for FG to win at S=4? Sweep z.
-	fmt.Println("Throughput vs skew amplification z (S=4, point queries):")
+	fmt.Fprintln(w, "Throughput vs skew amplification z (S=4, point queries):")
 	fg := &stats.Series{Name: "FG"}
 	cg := &stats.Series{Name: "CG Range"}
 	for _, z := range []float64{1, 2, 5, 10, 20, 50} {
@@ -30,10 +35,10 @@ func main() {
 		fg.Append(z, analysis.MaxThroughput(p, analysis.FG, q))
 		cg.Append(z, analysis.MaxThroughput(p, analysis.CGRange, q))
 	}
-	fmt.Println(stats.Table("z", "ops/s", fg, cg))
+	fmt.Fprintln(w, stats.Table("z", "ops/s", fg, cg))
 
 	// 3. Page-size sensitivity: the fanout/height trade-off.
-	fmt.Println("FG point-query cost vs page size (uniform):")
+	fmt.Fprintln(w, "FG point-query cost vs page size (uniform):")
 	bytesSer := &stats.Series{Name: "bytes/query"}
 	tputSer := &stats.Series{Name: "max ops/s"}
 	for _, page := range []int{256, 512, 1024, 2048, 4096} {
@@ -43,11 +48,11 @@ func main() {
 		bytesSer.Append(float64(page), analysis.QueryBytes(pp, analysis.FG, q))
 		tputSer.Append(float64(page), analysis.MaxThroughput(pp, analysis.FG, q))
 	}
-	fmt.Println(stats.Table("page bytes", "value", bytesSer, tputSer))
+	fmt.Fprintln(w, stats.Table("page bytes", "value", bytesSer, tputSer))
 
 	// 4. Where hash partitioning hurts: range queries must visit all S
 	// servers' indexes.
-	fmt.Println("Hash vs range partitioning for range queries (uniform, sel=0.001):")
+	fmt.Fprintln(w, "Hash vs range partitioning for range queries (uniform, sel=0.001):")
 	rg := &stats.Series{Name: "CG Range"}
 	hs := &stats.Series{Name: "CG Hash"}
 	for _, s := range []int{2, 8, 32, 64} {
@@ -57,5 +62,5 @@ func main() {
 		rg.Append(float64(s), analysis.MaxThroughput(pp, analysis.CGRange, q))
 		hs.Append(float64(s), analysis.MaxThroughput(pp, analysis.CGHash, q))
 	}
-	fmt.Println(stats.Table("memory servers", "ops/s", rg, hs))
+	fmt.Fprintln(w, stats.Table("memory servers", "ops/s", rg, hs))
 }

@@ -13,8 +13,10 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"log"
 	"net"
+	"os"
 	"strconv"
 	"strings"
 
@@ -29,24 +31,31 @@ import (
 const (
 	memServers = 3
 	pageBytes  = 1024
-	initial    = 50_000
 )
 
 func main() {
+	if err := run(os.Stdout, 50_000); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run boots the cluster, loads initial keys, serves the KV protocol and
+// drives the demo session, writing the transcript to w.
+func run(w io.Writer, initial int) error {
 	// ---- boot the NAM memory servers (real TCP agents) ----
 	var addrs []string
 	for i := 0; i < memServers; i++ {
-		srv := rdma.NewServer(i, 128<<20, nam.SuperblockBytes)
+		srv := rdma.NewServer(i, 32<<20, nam.SuperblockBytes)
 		agent := tcpnet.NewAgent(srv, nil)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		addrs = append(addrs, l.Addr().String())
 		go agent.Serve(l)
 		defer agent.Close()
 	}
-	fmt.Printf("NAM memory servers up: %v\n", addrs)
+	fmt.Fprintf(w, "NAM memory servers up: %v\n", addrs)
 
 	// ---- bulk-load the index (keys 0..N-1, value = key squared) ----
 	boot := tcpnet.Dial(addrs)
@@ -55,24 +64,25 @@ func main() {
 		At:        func(i int) (uint64, uint64) { return uint64(i), uint64(i) * uint64(i) },
 		HeadEvery: 32,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	boot.Close()
-	fmt.Printf("loaded %d keys across %d memory servers\n", initial, memServers)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "loaded %d keys across %d memory servers\n", initial, memServers)
 
 	// ---- the KV service ----
 	svcListener, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer svcListener.Close()
 	go serveKV(svcListener, addrs, cat)
-	fmt.Printf("kvstore service on %s\n\n", svcListener.Addr())
+	fmt.Fprintf(w, "kvstore service on %s\n\n", svcListener.Addr())
 
 	// ---- demo session ----
 	conn, err := net.Dial("tcp", svcListener.Addr().String())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer conn.Close()
 	r := bufio.NewReader(conn)
@@ -87,19 +97,20 @@ func main() {
 		"GET 999999",
 	}
 	for _, cmd := range session {
-		fmt.Printf("> %s\n", cmd)
+		fmt.Fprintf(w, "> %s\n", cmd)
 		fmt.Fprintf(conn, "%s\n", cmd)
 		for {
 			line, err := r.ReadString('\n')
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("  %s", line)
+			fmt.Fprintf(w, "  %s", line)
 			if !strings.HasPrefix(line, "|") {
 				break
 			}
 		}
 	}
+	return nil
 }
 
 // serveKV accepts connections and executes KV commands against the

@@ -6,12 +6,12 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"github.com/namdb/rdmatree/internal/core"
-	"github.com/namdb/rdmatree/internal/core/coarse"
-	"github.com/namdb/rdmatree/internal/core/fine"
-	"github.com/namdb/rdmatree/internal/core/hybrid"
+	"github.com/namdb/rdmatree/internal/deploy"
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/partition"
@@ -19,9 +19,15 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, 100_000); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run deploys each design over numKeys keys and demonstrates it on w.
+func run(w io.Writer, numKeys int) error {
 	const (
 		servers  = 4
-		numKeys  = 100_000
 		pageSize = 1024
 	)
 	// The initial data set: monotonically increasing keys, value = key*10.
@@ -32,81 +38,73 @@ func main() {
 	}
 	l := layout.New(pageSize)
 
-	fmt.Printf("NAM cluster: %d memory servers, %d keys, %dB pages (fanout %d, leaf capacity %d)\n\n",
+	fmt.Fprintf(w, "NAM cluster: %d memory servers, %d keys, %dB pages (fanout %d, leaf capacity %d)\n\n",
 		servers, numKeys, pageSize, l.InnerCap, l.LeafCap)
 
-	// ---- Design 1: coarse-grained / two-sided ----
-	{
-		fab := direct.New(servers, 256<<20, nam.SuperblockBytes)
-		srv := coarse.NewServer(fab, coarse.Options{
-			Layout: l,
-			Part:   partition.NewRangeUniform(servers, numKeys),
-		})
-		cat, err := srv.Build(spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fab.SetHandler(srv.Handler())
-		idx := coarse.NewClient(fab.Endpoint(), direct.Env{}, cat)
-		demo("coarse-grained (partitioned trees, RPC access)", idx)
+	designs := []struct {
+		design nam.Design
+		name   string
+	}{
+		{nam.CoarseGrained, "coarse-grained (partitioned trees, RPC access)"},
+		{nam.FineGrained, "fine-grained (global tree, one-sided verbs only)"},
+		{nam.Hybrid, "hybrid (RPC traversal, one-sided leaves)"},
 	}
-
-	// ---- Design 2: fine-grained / one-sided ----
-	{
-		fab := direct.New(servers, 256<<20, nam.SuperblockBytes)
-		cat, err := fine.Build(fab.Endpoint(), fine.Options{Layout: l}, spec)
+	for _, d := range designs {
+		// One in-process cluster per design: the bulk load writes the
+		// index into the servers' regions, and the coarse-grained and
+		// hybrid designs install their RPC handlers.
+		fab := direct.New(servers, 64<<20, nam.SuperblockBytes)
+		dep, err := deploy.Build(fab, fab.Endpoint(), deploy.Options{
+			Design:    d.design,
+			PageBytes: pageSize,
+			Part:      partition.NewRangeUniform(servers, uint64(numKeys)),
+		}, spec)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		idx := fine.NewClient(fab.Endpoint(), direct.Env{}, cat, 0)
-		demo("fine-grained (global tree, one-sided verbs only)", idx)
-	}
-
-	// ---- Design 3: hybrid ----
-	{
-		fab := direct.New(servers, 256<<20, nam.SuperblockBytes)
-		srv := hybrid.NewServer(fab, hybrid.Options{
-			Layout: l,
-			Part:   partition.NewRangeUniform(servers, numKeys),
-		})
-		cat, err := srv.Build(fab.Endpoint(), spec)
+		cl, err := dep.Client(deploy.ClientOptions{Ep: fab.Endpoint(), Env: direct.Env{}})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fab.SetHandler(srv.Handler())
-		idx := hybrid.NewClient(fab.Endpoint(), direct.Env{}, cat, 0)
-		demo("hybrid (RPC traversal, one-sided leaves)", idx)
+		if err := demo(w, d.name, cl.Serial); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // demo exercises the shared Index interface.
-func demo(name string, idx core.Index) {
-	fmt.Println("##", name)
+func demo(w io.Writer, name string, idx core.Index) error {
+	fmt.Fprintln(w, "##", name)
 
 	vals, err := idx.Lookup(4242)
-	must(err)
-	fmt.Printf("  Lookup(4242)            = %v\n", vals)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  Lookup(4242)            = %v\n", vals)
 
-	must(idx.Insert(4242, 99999)) // non-unique: a second value under the same key
-	vals, err = idx.Lookup(4242)
-	must(err)
-	fmt.Printf("  after Insert(4242)      = %v\n", vals)
+	if err := idx.Insert(4242, 99999); err != nil { // non-unique: a second value under the same key
+		return err
+	}
+	if vals, err = idx.Lookup(4242); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  after Insert(4242)      = %v\n", vals)
 
 	ok, err := idx.Delete(4242, 99999)
-	must(err)
-	fmt.Printf("  Delete(4242, 99999)     = %v\n", ok)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  Delete(4242, 99999)     = %v\n", ok)
 
 	sum, count := uint64(0), 0
-	must(idx.Range(1000, 1009, func(k, v uint64) bool {
+	if err := idx.Range(1000, 1009, func(k, v uint64) bool {
 		sum += v
 		count++
 		return true
-	}))
-	fmt.Printf("  Range[1000,1009]        = %d entries, value sum %d\n\n", count, sum)
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
+	}); err != nil {
+		return err
 	}
+	fmt.Fprintf(w, "  Range[1000,1009]        = %d entries, value sum %d\n\n", count, sum)
+	return nil
 }

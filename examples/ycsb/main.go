@@ -8,7 +8,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"github.com/namdb/rdmatree/internal/bench"
 	"github.com/namdb/rdmatree/internal/nam"
@@ -20,7 +22,14 @@ func main() {
 	size := flag.Int("size", 200_000, "initial data size D")
 	clients := flag.Int("clients", 120, "client threads (40 per compute machine)")
 	flag.Parse()
+	if err := run(os.Stdout, *size, *clients); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run measures every workload row on every design with clients clients over
+// size initial entries and prints the comparison to w.
+func run(w io.Writer, size, clients int) error {
 	designs := []nam.Design{nam.CoarseGrained, nam.FineGrained, nam.Hybrid}
 	rows := []struct {
 		name string
@@ -33,16 +42,16 @@ func main() {
 		{"D: 50% point / 50% insert", workload.WorkloadD, 0},
 	}
 
-	fmt.Printf("Modified YCSB on a simulated NAM cluster: 4 memory servers, %d clients, D=%d\n\n",
-		*clients, *size)
+	fmt.Fprintf(w, "Modified YCSB on a simulated NAM cluster: 4 memory servers, %d clients, D=%d\n\n",
+		clients, size)
 	for _, row := range rows {
-		fmt.Printf("Workload %s\n", row.name)
+		fmt.Fprintf(w, "Workload %s\n", row.name)
 		for _, d := range designs {
-			machines := (*clients + 39) / 40
+			machines := (clients + 39) / 40
 			cfg := bench.Config{
 				Design:      d,
-				Topology:    nam.PaperTopology(4, machines, (*clients+machines-1)/machines),
-				DataSize:    *size,
+				Topology:    nam.PaperTopology(4, machines, (clients+machines-1)/machines),
+				DataSize:    size,
 				Mix:         row.mix,
 				Selectivity: row.sel,
 				HeadEvery:   32,
@@ -53,16 +62,17 @@ func main() {
 			}
 			res, err := bench.Run(cfg)
 			if err != nil {
-				log.Fatalf("%v / %s: %v", d, row.name, err)
+				return fmt.Errorf("%v / %s: %w", d, row.name, err)
 			}
-			fmt.Printf("  %-16s %10s ops/s   p50 %7.1fus   p99 %7.1fus   net %5.2f GB/s\n",
+			fmt.Fprintf(w, "  %-16s %10s ops/s   p50 %7.1fus   p99 %7.1fus   net %5.2f GB/s\n",
 				d.String(),
 				stats.FormatQty(res.Throughput),
 				float64(res.Latency.Percentile(50))/1000,
 				float64(res.Latency.Percentile(99))/1000,
 				res.NetGBps)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("(virtual-time measurements on the calibrated simulated fabric; see EXPERIMENTS.md)")
+	fmt.Fprintln(w, "(virtual-time measurements on the calibrated simulated fabric; see EXPERIMENTS.md)")
+	return nil
 }

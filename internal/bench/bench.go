@@ -10,16 +10,11 @@ import (
 
 	"github.com/namdb/rdmatree/internal/cache"
 	"github.com/namdb/rdmatree/internal/core"
-	"github.com/namdb/rdmatree/internal/core/coarse"
-	"github.com/namdb/rdmatree/internal/core/fine"
-	"github.com/namdb/rdmatree/internal/core/hybrid"
-	"github.com/namdb/rdmatree/internal/layout"
+	"github.com/namdb/rdmatree/internal/deploy"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/obs"
 	"github.com/namdb/rdmatree/internal/partition"
 	"github.com/namdb/rdmatree/internal/policy"
-	"github.com/namdb/rdmatree/internal/rdma"
-	"github.com/namdb/rdmatree/internal/rdma/repl"
 	"github.com/namdb/rdmatree/internal/rdma/simnet"
 	"github.com/namdb/rdmatree/internal/sim"
 	"github.com/namdb/rdmatree/internal/stats"
@@ -78,36 +73,33 @@ type Config struct {
 	// (right-edge hotspot extension; see workload.Config.InsertAppend).
 	InsertAppend bool
 	// CachePages enables a compute-side page cache of this many pages per
-	// client on the fine-grained design (Appendix A.4).
+	// fine-grained serial client (Appendix A.4).
 	CachePages int
-	// Pipeline, when > 0, runs fine-grained clients through the async
+	// Pipeline, when > 0, runs every design's clients through the async
 	// pipelined dataplane with this many operations in flight per client
-	// (DESIGN.md §11): traversal steps of different in-flight operations
-	// share doorbell batches and their round trips overlap. 1 runs the
-	// engine with a single slot (measures engine overhead over the serial
-	// client); 0 selects the serial client. Fine-grained only; ignored by
-	// the other designs.
+	// (DESIGN.md §11): verbs and RPCs of in-flight operations share
+	// doorbell batches. 1 measures the engine's overhead over the serial
+	// client, 0 selects the serial client.
 	Pipeline int
-	// LegacyReads runs fine-grained clients with the paper's original
-	// Listing-2 read protocol (two blocking READs per level) instead of the
-	// fused doorbell-batched protocol — the measured baseline of the RTT
-	// experiment and the verb sequence the paper's figures assume. Ignored
-	// by the other designs and by cached clients.
+	// LegacyReads runs fine-grained serial clients with the paper's
+	// Listing-2 read protocol (two blocking READs per level) instead of
+	// the fused doorbell batch — the RTT experiment's baseline and the
+	// verb sequence the paper's figures assume.
 	LegacyReads bool
 	// Traverse selects the hybrid design's upper-level traversal strategy:
-	// "" or "rpc" keeps the design's native traverse RPC, "onesided" pins
-	// client-side fused reads of the inner nodes, and "adaptive" runs each
-	// client under its own policy engine (internal/policy) fed by the
-	// client's signal window and timed by its virtual clock, switching
-	// per partition at runtime. Hybrid only; a Validate error elsewhere.
+	// "" or "rpc" keeps the native traverse RPC, "onesided" pins client-side
+	// fused reads of the inner nodes, and "adaptive" runs each client under
+	// its own policy engine (internal/policy), timed by its virtual clock.
 	Traverse string
-	// Replicas, when >= 2, deploys the fine-grained design with k-way page
-	// replication (DESIGN.md §13): server regions are carved into
-	// identity-offset replica slabs, every client's endpoint is wrapped in
-	// the replica router, and each client mirrors its dirtied pages to the
-	// group's backups before acking. Fine-grained serial clients only —
-	// combining with Pipeline, CachePages or LegacyReads is a Validate
-	// error, and 0 and 1 both mean unreplicated.
+	// Replicas, when >= 2, deploys any design with k-way page replication
+	// (DESIGN.md §13): every client routes through the replica router and
+	// mirrors its dirtied pages to the group's backups before acking. 0
+	// and 1 both mean unreplicated.
+	//
+	// Combinations without a client stack — Pipeline with Replicas, the
+	// read paths outside fine-grained serial clients, Traverse outside the
+	// hybrid design — fail Run with the deployment builder's error
+	// (DESIGN.md §15).
 	Replicas int
 	// WarmupNS and MeasureNS are the virtual warm-up and measurement
 	// windows.
@@ -147,20 +139,6 @@ func (c *Config) Validate() error {
 	default:
 		return fmt.Errorf("bench: unknown Traverse %q (want rpc, onesided or adaptive)", c.Traverse)
 	}
-	if c.Traverse != "" && c.Design != nam.Hybrid {
-		return fmt.Errorf("bench: Traverse requires the hybrid design")
-	}
-	if c.Replicas >= 2 {
-		if c.Design != nam.FineGrained {
-			return fmt.Errorf("bench: Replicas requires the fine-grained design")
-		}
-		if c.Pipeline > 0 || c.CachePages > 0 || c.LegacyReads {
-			return fmt.Errorf("bench: Replicas supports only the serial fused-read client (no Pipeline, CachePages, LegacyReads)")
-		}
-		if c.Replicas > c.Topology.MemServers {
-			return fmt.Errorf("bench: Replicas %d exceeds memory servers %d", c.Replicas, c.Topology.MemServers)
-		}
-	}
 	return c.Topology.Validate()
 }
 
@@ -197,38 +175,6 @@ type Result struct {
 	Err error
 }
 
-// telemetryOrNil converts a possibly-nil *Recorder to the cache's hook
-// interface without producing a typed-nil interface value.
-func telemetryOrNil(rec *telemetry.Recorder) cache.Telemetry {
-	if rec == nil {
-		return nil
-	}
-	return rec
-}
-
-// eventsOrNil converts a possibly-nil *obs.Log to the cache's per-access
-// hook interface without producing a typed-nil interface value.
-func eventsOrNil(log *obs.Log) cache.Events {
-	if log == nil {
-		return nil
-	}
-	return log
-}
-
-// designLabel names a design for the metrics export.
-func designLabel(d nam.Design) string {
-	switch d {
-	case nam.CoarseGrained:
-		return "coarse"
-	case nam.FineGrained:
-		return "fine"
-	case nam.Hybrid:
-		return "hybrid"
-	default:
-		return "unknown"
-	}
-}
-
 // Run executes one experiment point.
 func Run(cfg Config) (Result, error) {
 	if err := (&cfg).Validate(); err != nil {
@@ -241,7 +187,6 @@ func Run(cfg Config) (Result, error) {
 	}
 	fab := simnet.New(s, simCfg)
 	defer fab.Release()
-	l := layout.New(cfg.PageBytes)
 
 	// Telemetry wiring: one shared recorder (atomic counters) fed by every
 	// client endpoint and server handler; nil when disabled, so the hot path
@@ -254,35 +199,11 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Telemetry || tracer != nil || LiveRecorder != nil {
 		rec = telemetry.NewRecorder(cfg.Topology.MemServers)
 	}
-	clientEp := func(id int, p *sim.Proc) rdma.Endpoint {
-		base := fab.Endpoint(id, p)
-		if rec == nil {
-			return base
-		}
-		e := telemetry.Wrap(base, rec, p)
-		if tracer != nil {
-			e.WithTrace(tracer, 0, id)
-		}
-		return e
-	}
-	wrapHandler := func(h rdma.Handler) rdma.Handler {
-		if rec == nil {
-			return h
-		}
-		return telemetry.Instrument(h, rec, tracer)
-	}
 	// Per-op metrics wiring: with LiveMetrics set, every client carries an
 	// obs.Log timed by its virtual clock, feeding the design's shared
 	// histogram set (per op kind, and per partition for the partitioned
-	// designs).
+	// designs), picked once the catalog is known.
 	var metrics *obs.Metrics
-	if LiveMetrics != nil {
-		parts := 0
-		if cfg.Design != nam.FineGrained {
-			parts = cfg.Topology.MemServers
-		}
-		metrics = LiveMetrics.Get(designLabel(cfg.Design), parts)
-	}
 	clientLog := func(id int, p *sim.Proc) *obs.Log {
 		if metrics == nil {
 			return nil
@@ -325,127 +246,61 @@ func Run(cfg Config) (Result, error) {
 		return partition.NewRangeUniform(cfg.Topology.MemServers, keyspace)
 	}
 
-	// Deploy the design.
+	dep, err := deploy.Build(fab, fab.SetupEndpoint(), deploy.Options{
+		Design:    cfg.Design,
+		PageBytes: cfg.PageBytes,
+		Part:      part(),
+		Replicas:  cfg.Replicas,
+		VisitNS:   simCfg.VisitNS,
+		Telemetry: rec,
+		Tracer:    tracer,
+		// Replies piggyback the handler pool's utilization so adaptive
+		// clients see the server-CPU signal.
+		LoadProbe: fab.ServerCoreLoad,
+	}, spec)
+	if err != nil {
+		return Result{}, err
+	}
+	if LiveMetrics != nil {
+		metrics = LiveMetrics.Get(cfg.Design.Name(), dep.Catalog.Partitions())
+	}
 	var caches []*cache.Mem
 	var engines []*policy.Engine
-	var mkClient func(clientID int, p *sim.Proc) core.Index
-	var mkPipelined func(clientID int, p *sim.Proc) *fine.PipelinedClient
-	switch cfg.Design {
-	case nam.CoarseGrained:
-		srv := coarse.NewServer(fab, coarse.Options{Layout: l, Part: part(), VisitNS: simCfg.VisitNS, Telemetry: rec})
-		cat, err := srv.Build(spec)
-		if err != nil {
-			return Result{}, err
+	newClient := func(id int, p *sim.Proc) (deploy.Client, error) {
+		o := deploy.ClientOptions{
+			ID:          id,
+			Ep:          fab.Endpoint(id, p),
+			Env:         fab.ClientEnv(p),
+			Telemetry:   rec,
+			Clock:       p,
+			Tracer:      tracer,
+			Log:         clientLog(id, p),
+			CachePages:  cfg.CachePages,
+			LegacyReads: cfg.LegacyReads,
+			Inflight:    cfg.Pipeline,
 		}
-		fab.SetHandler(wrapHandler(srv.Handler()))
-		fab.Start()
-		mkClient = func(id int, p *sim.Proc) core.Index {
-			c := coarse.NewClient(clientEp(id, p), fab.ClientEnv(p), cat)
-			c.SetOpLog(clientLog(id, p))
-			return c
+		switch cfg.Traverse {
+		case "onesided":
+			o.Decider = policy.Static(policy.StrategyOneSided)
+		case "adaptive":
+			// Per-client engine and window, timed by the client's own
+			// virtual clock: decisions use measured virtual-ns costs, so the
+			// crossover tracks the simulated fabric, not the host. The dwell
+			// is 2ms virtual — a few hundred operations at typical simulated
+			// rates, long enough that a borderline partition holds rather
+			// than flaps.
+			pcfg := policy.Defaults(cfg.Topology.MemServers)
+			pcfg.MinDwell = 2_000_000
+			win := policy.NewWindow(cfg.Topology.MemServers)
+			eng := policy.NewEngine(pcfg, win, p)
+			engines = append(engines, eng)
+			o.Decider, o.Feed, o.FeedClock = eng, win, p
 		}
-	case nam.FineGrained:
-		fineOpts := fine.Options{Layout: l}
-		var lay nam.ReplicaLayout
-		if cfg.Replicas >= 2 {
-			// Carve every server's region into identity-offset replica slabs
-			// and confine its allocator to its own slab, so a page's backup
-			// copies live at the page's own offset on the group's other
-			// members (DESIGN.md §13).
-			lay = nam.NewReplicaLayout(cfg.Topology.MemServers, cfg.Replicas, uint64(simCfg.RegionBytes))
-			for i := 0; i < cfg.Topology.MemServers; i++ {
-				fab.Server(i).Alloc = rdma.NewAllocator(lay.SlabLo(i), lay.SlabHi(i))
-			}
-			fineOpts.Replicas = cfg.Replicas
-			fineOpts.RegionBytes = uint64(simCfg.RegionBytes)
+		cl, err := dep.Client(o)
+		if cl.Cache != nil {
+			caches = append(caches, cl.Cache)
 		}
-		cat, err := fine.Build(fab.SetupEndpoint(), fineOpts, spec)
-		if err != nil {
-			return Result{}, err
-		}
-		if cfg.Replicas >= 2 {
-			// The bulk load wrote primaries only; seed the backups before any
-			// client starts, as deployment would after a bulk load.
-			repl.SyncReplicas(lay, fab.Server)
-		}
-		if cfg.Pipeline > 0 {
-			mkPipelined = func(id int, p *sim.Proc) *fine.PipelinedClient {
-				c := fine.NewPipelinedClient(clientEp(id, p), fab.ClientEnv(p), cat, id, cfg.Pipeline)
-				c.SetRecorder(rec)
-				c.SetOpLog(clientLog(id, p))
-				return c
-			}
-		}
-		mkClient = func(id int, p *sim.Proc) core.Index {
-			if cfg.CachePages > 0 {
-				c, cm := fine.NewCachedClient(clientEp(id, p), fab.ClientEnv(p), cat, id, cfg.CachePages)
-				cm.Tel = telemetryOrNil(rec)
-				caches = append(caches, cm)
-				c.SetRecorder(rec)
-				log := clientLog(id, p)
-				cm.Events = eventsOrNil(log)
-				c.SetOpLog(log)
-				return c
-			}
-			var c *fine.Client
-			if cfg.Replicas >= 2 {
-				// The router sits above the telemetry wrap, so mirror pushes
-				// count toward the measured verbs and RTTs/op — replication
-				// overhead is visible, not hidden.
-				router := repl.NewRouter(clientEp(id, p), lay, nil, nil)
-				c = fine.NewClient(router, fab.ClientEnv(p), cat, id)
-				c.SetReplicator(repl.NewMirrorer(router, fab.ClientEnv(p), nil))
-			} else if cfg.LegacyReads {
-				c = fine.NewUnbatchedClient(clientEp(id, p), fab.ClientEnv(p), cat, id)
-			} else {
-				c = fine.NewClient(clientEp(id, p), fab.ClientEnv(p), cat, id)
-			}
-			c.SetRecorder(rec)
-			c.SetOpLog(clientLog(id, p))
-			return c
-		}
-	case nam.Hybrid:
-		srv := hybrid.NewServer(fab, hybrid.Options{Layout: l, Part: part(), VisitNS: simCfg.VisitNS, Telemetry: rec})
-		cat, err := srv.Build(fab.SetupEndpoint(), spec)
-		if err != nil {
-			return Result{}, err
-		}
-		// Replies piggyback the handler pool's utilization so adaptive
-		// clients see the server-CPU signal (one probe per server, shared
-		// by its handler procs).
-		probes := make([]func() float64, cfg.Topology.MemServers)
-		for i := range probes {
-			probes[i] = fab.ServerCoreLoad(i)
-		}
-		srv.SetLoadProbe(func(server int) float64 { return probes[server]() })
-		fab.SetHandler(wrapHandler(srv.Handler()))
-		fab.Start()
-		mkClient = func(id int, p *sim.Proc) core.Index {
-			c := hybrid.NewClient(clientEp(id, p), fab.ClientEnv(p), cat, id)
-			c.SetRecorder(rec)
-			c.SetOpLog(clientLog(id, p))
-			switch cfg.Traverse {
-			case "onesided":
-				c.SetDecider(policy.Static(policy.StrategyOneSided))
-			case "adaptive":
-				// Per-client engine and window, timed by the client's own
-				// virtual clock: decisions use measured virtual-ns costs, so
-				// the crossover tracks the simulated fabric, not the host.
-				// The dwell is 2ms virtual — a few hundred operations at
-				// typical simulated rates, long enough that a borderline
-				// partition holds rather than flaps.
-				pcfg := policy.Defaults(cfg.Topology.MemServers)
-				pcfg.MinDwell = 2_000_000
-				win := policy.NewWindow(cfg.Topology.MemServers)
-				eng := policy.NewEngine(pcfg, win, p)
-				engines = append(engines, eng)
-				c.SetDecider(eng)
-				c.SetSignalFeed(win, p)
-			}
-			return c
-		}
-	default:
-		return Result{}, fmt.Errorf("bench: unknown design %v", cfg.Design)
+		return cl, err
 	}
 
 	wlCfg := workload.Config{
@@ -521,11 +376,15 @@ func Run(cfg Config) (Result, error) {
 				}
 				return end <= measureEnd
 			}
-			if mkPipelined != nil {
+			cl, err := newClient(c, p)
+			if err != nil {
+				firstErr.CompareAndSwap(nil, err)
+				return
+			}
+			if pc := cl.Pipelined; pc != nil {
 				// Async dataplane: keep the submission window full; latency
 				// spans submission to completion, so queueing behind a full
 				// window is charged to the operation (the closed-loop view).
-				pc := mkPipelined(c, p)
 				stop := false
 				for !stop {
 					op := gen.Next()
@@ -554,7 +413,7 @@ func Run(cfg Config) (Result, error) {
 				pc.Drain()
 				return
 			}
-			idx := mkClient(c, p)
+			idx := cl.Serial
 			for {
 				op := gen.Next()
 				start := p.Now()

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"errors"
 	"testing"
 
+	"github.com/namdb/rdmatree/internal/deploy"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/workload"
 )
@@ -198,5 +200,47 @@ func TestPerKindLatency(t *testing.T) {
 	// Inserts pay more verbs than lookups on the one-sided design.
 	if ins.Mean() <= pts.Mean() {
 		t.Fatalf("insert latency (%f) not above point latency (%f)", ins.Mean(), pts.Mean())
+	}
+}
+
+// TestCombinations runs one small point for each combination the
+// deployment builder adds beyond the fine-grained serial client: replication
+// of every design and of the cached and legacy read paths, and pipelining
+// of every design.
+func TestCombinations(t *testing.T) {
+	cases := []struct {
+		name   string
+		design nam.Design
+		edit   func(*Config)
+	}{
+		{"coarse k=2", nam.CoarseGrained, func(c *Config) { c.Replicas = 2 }},
+		{"hybrid k=2", nam.Hybrid, func(c *Config) { c.Replicas = 2 }},
+		{"fine k=2 cached", nam.FineGrained, func(c *Config) { c.Replicas, c.CachePages = 2, 256 }},
+		{"fine k=2 legacy", nam.FineGrained, func(c *Config) { c.Replicas, c.LegacyReads = 2, true }},
+		{"coarse pipelined", nam.CoarseGrained, func(c *Config) { c.Pipeline = 8 }},
+		{"hybrid pipelined", nam.Hybrid, func(c *Config) { c.Pipeline = 8 }},
+		{"hybrid pipelined adaptive", nam.Hybrid, func(c *Config) { c.Pipeline, c.Traverse = 8, "adaptive" }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := pointCfg(tc.design, 8)
+			cfg.DataSize = 20_000
+			cfg.Mix = workload.WorkloadD
+			tc.edit(&cfg)
+			res := run(t, cfg)
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		})
+	}
+}
+
+// TestPipelinedReplicatedRejected pins the deployment builder's refusal of
+// pipelined clients on a replicated deployment, as Run reports it.
+func TestPipelinedReplicatedRejected(t *testing.T) {
+	cfg := pointCfg(nam.FineGrained, 4)
+	cfg.DataSize, cfg.Replicas, cfg.Pipeline = 5_000, 2, 8
+	if _, err := Run(cfg); !errors.Is(err, deploy.ErrPipelinedReplicated) {
+		t.Fatalf("Run = %v, want deploy.ErrPipelinedReplicated", err)
 	}
 }

@@ -27,10 +27,7 @@ import (
 	"time"
 
 	"github.com/namdb/rdmatree/internal/core"
-	"github.com/namdb/rdmatree/internal/core/coarse"
-	"github.com/namdb/rdmatree/internal/core/fine"
-	"github.com/namdb/rdmatree/internal/core/hybrid"
-	"github.com/namdb/rdmatree/internal/layout"
+	"github.com/namdb/rdmatree/internal/deploy"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/obs"
 	"github.com/namdb/rdmatree/internal/partition"
@@ -196,46 +193,14 @@ func (r *Report) Summary() string {
 // kv is one (key, value) pair.
 type kv struct{ k, v uint64 }
 
-// deployment is one design on a direct fabric: client factory plus
-// fault-free verification hooks. The verification hooks receive the
-// verification endpoint (bare, or — replicated — a repl.Router over the bare
-// endpoint so home-addressed accesses reach the acting copies) and the
-// post-run acting map; unreplicated deployments receive the bare endpoint
-// and the identity map.
-type deployment struct {
-	fab        *direct.Fabric
-	cat        *nam.Catalog
-	lay        nam.ReplicaLayout // zero value unless replicated
-	replicated bool
-	mk         func(ep rdma.Endpoint, mir *repl.Mirrorer, id int, log *obs.Log) core.Index
-	check      func(ep rdma.Endpoint, acting func(home int) int) (int, error)
-	// scan visits every live entry.
-	scan func(ep rdma.Endpoint, emit func(k, v uint64) bool) error
-	// repair releases page locks abandoned by interrupted clients (nil when
-	// the design cannot abandon locks). It runs quiesced, before check/scan —
-	// which read validating and would otherwise spin on an abandoned lock.
-	repair func(ep rdma.Endpoint) (int, error)
-}
-
-func deploy(cfg *Config) (*deployment, error) {
+// deployDesign deploys cfg's design on a direct fabric.
+func deployDesign(cfg *Config) (*direct.Fabric, *deploy.Deployment, error) {
 	const region = 64 << 20
-	replicated := cfg.Replicas >= 2
-	reserved := nam.SuperblockBytes
-	var lay nam.ReplicaLayout
-	var regionBytes uint64
-	if replicated {
-		lay = nam.NewReplicaLayout(cfg.Servers, cfg.Replicas, region)
-		reserved = int(lay.Reserved())
-		regionBytes = region
+	design, err := nam.ParseDesign(cfg.Design)
+	if err != nil {
+		return nil, nil, err
 	}
-	fab := direct.New(cfg.Servers, region, reserved)
-	if replicated {
-		// Identity-offset mirroring needs disjoint per-server slabs: confine
-		// each server's allocator to its home slab.
-		for i := 0; i < cfg.Servers; i++ {
-			fab.Server(i).Alloc = rdma.NewAllocator(lay.SlabLo(i), lay.SlabHi(i))
-		}
-	}
+	fab := direct.New(cfg.Servers, region, nam.SuperblockBytes)
 	spec := core.BuildSpec{
 		N: cfg.Preload,
 		At: func(i int) (uint64, uint64) {
@@ -247,155 +212,14 @@ func deploy(cfg *Config) (*deployment, error) {
 		},
 		HeadEvery: 6,
 	}
-	l := layout.New(cfg.PageBytes)
-	var dep *deployment
-	switch cfg.Design {
-	case "coarse":
-		srv := coarse.NewServer(fab, coarse.Options{
-			Layout:      l,
-			Part:        partition.NewRangeUniform(cfg.Servers, cfg.Keyspace),
-			Replicas:    cfg.Replicas,
-			RegionBytes: regionBytes,
-			SpinBudget:  cfg.SpinBudget,
-		})
-		cat, err := srv.Build(spec)
-		if err != nil {
-			return nil, err
-		}
-		fab.SetHandler(srv.Handler())
-		dep = &deployment{
-			fab: fab, cat: cat,
-			mk: func(ep rdma.Endpoint, mir *repl.Mirrorer, id int, log *obs.Log) core.Index {
-				c := coarse.NewClient(ep, direct.Env{}, cat)
-				if mir != nil {
-					c.SetMirrorer(mir)
-				}
-				c.SetOpLog(log)
-				return c
-			},
-			// No repair for the acting copies: coarse locks are taken and
-			// released inside RPC handlers, and a dropped Call is dropped
-			// before execution — a handler is never interrupted
-			// mid-operation. (A backup copy can be left locked by an
-			// interrupted client-side mirror push; verification reads only
-			// acting copies, and the rebuild recopies backups wholesale.)
-			check: func(_ rdma.Endpoint, acting func(home int) int) (int, error) {
-				return srv.CheckInvariantsAt(acting)
-			},
-			scan: func(ep rdma.Endpoint, emit func(k, v uint64) bool) error {
-				c := coarse.NewClient(ep, direct.Env{}, cat)
-				return c.Range(0, ^uint64(0)>>1, emit)
-			},
-		}
-	case "fine":
-		cat, err := fine.Build(fab.Endpoint(), fine.Options{
-			Layout:      l,
-			Replicas:    cfg.Replicas,
-			RegionBytes: regionBytes,
-		}, spec)
-		if err != nil {
-			return nil, err
-		}
-		dep = &deployment{
-			fab: fab, cat: cat,
-			mk: func(ep rdma.Endpoint, mir *repl.Mirrorer, id int, log *obs.Log) core.Index {
-				c := fine.NewClient(ep, direct.Env{}, cat, id)
-				if mir != nil {
-					c.SetReplicator(mir)
-				}
-				c.SetSpinBudget(cfg.SpinBudget)
-				c.SetOpLog(log)
-				return c
-			},
-			repair: func(ep rdma.Endpoint) (int, error) {
-				c := fine.NewClient(ep, direct.Env{}, cat, 0)
-				return c.Tree().RecoverLocks()
-			},
-			check: func(ep rdma.Endpoint, _ func(home int) int) (int, error) {
-				c := fine.NewClient(ep, direct.Env{}, cat, 0)
-				return c.Tree().CheckInvariants(rdma.NopEnv{})
-			},
-			scan: func(ep rdma.Endpoint, emit func(k, v uint64) bool) error {
-				c := fine.NewClient(ep, direct.Env{}, cat, 0)
-				return c.Range(0, ^uint64(0)>>1, emit)
-			},
-		}
-	case "hybrid":
-		srv := hybrid.NewServer(fab, hybrid.Options{
-			Layout:      l,
-			Part:        partition.NewRangeUniform(cfg.Servers, cfg.Keyspace),
-			Replicas:    cfg.Replicas,
-			RegionBytes: regionBytes,
-			SpinBudget:  cfg.SpinBudget,
-		})
-		cat, err := srv.Build(fab.Endpoint(), spec)
-		if err != nil {
-			return nil, err
-		}
-		fab.SetHandler(srv.Handler())
-		dep = &deployment{
-			fab: fab, cat: cat,
-			mk: func(ep rdma.Endpoint, mir *repl.Mirrorer, id int, log *obs.Log) core.Index {
-				c := hybrid.NewClient(ep, direct.Env{}, cat, id)
-				if mir != nil {
-					c.SetMirrorer(mir)
-				}
-				c.SetSpinBudget(cfg.SpinBudget)
-				c.SetOpLog(log)
-				return c
-			},
-			repair: func(ep rdma.Endpoint) (int, error) { return srv.RecoverLocks(ep) },
-			check: func(ep rdma.Endpoint, _ func(home int) int) (int, error) {
-				return srv.CheckInvariants(ep)
-			},
-			scan: func(ep rdma.Endpoint, emit func(k, v uint64) bool) error {
-				c := hybrid.NewClient(ep, direct.Env{}, cat, 0)
-				return c.Range(0, ^uint64(0)>>1, emit)
-			},
-		}
-	default:
-		return nil, fmt.Errorf("chaos: unknown design %q", cfg.Design)
-	}
-	dep.lay, dep.replicated = lay, replicated
-	if replicated {
-		// Seed the backups with the bulk-loaded image: mirror-before-ack
-		// covers only pages written after the clients start.
-		repl.SyncReplicas(lay, fab.Server)
-	}
-	return dep, nil
-}
-
-// adaptiveClient is the policy surface of a design client (the hybrid
-// clients implement it).
-type adaptiveClient interface {
-	SetDecider(policy.Decider)
-	SetSignalFeed(policy.Feed, policy.Clock)
-}
-
-// policyReplEvents fans replication events out to the flight recorder and
-// the client's policy engine: a promotion or an adopted group move means the
-// partition's signals were measured against the old acting server, so the
-// engine resets its window instead of feeding the estimator stale samples.
-// Like the Router firing it, it runs on the owning client's goroutine.
-type policyReplEvents struct {
-	log *obs.Log // nil-safe
-	eng *policy.Engine
-}
-
-var _ repl.Events = (*policyReplEvents)(nil)
-
-func (p *policyReplEvents) PromotionEvent(home int, epoch uint64, acting int) {
-	p.log.PromotionEvent(home, epoch, acting)
-	p.eng.ResetPartition(home)
-}
-
-func (p *policyReplEvents) GroupMovedEvent(home int, epoch uint64) {
-	p.log.GroupMovedEvent(home, epoch)
-	p.eng.ResetPartition(home)
-}
-
-func (p *policyReplEvents) MemberDeadEvent(home, member int) {
-	p.log.MemberDeadEvent(home, member)
+	dep, err := deploy.Build(fab, fab.Endpoint(), deploy.Options{
+		Design:     design,
+		PageBytes:  cfg.PageBytes,
+		Part:       partition.NewRangeUniform(cfg.Servers, cfg.Keyspace),
+		Replicas:   cfg.Replicas,
+		SpinBudget: cfg.SpinBudget,
+	}, spec)
+	return fab, dep, err
 }
 
 // chaosPolicyConfig is the engine configuration chaos clients run under:
@@ -421,6 +245,7 @@ type clientResult struct {
 	failedOps  int
 	serverLost int
 	maxOpNS    int64
+	err        error // the client stack could not be built
 }
 
 // Run executes one chaos run and verifies the post-run invariants. A non-nil
@@ -428,7 +253,7 @@ type clientResult struct {
 // invariant verdicts are on the Report.
 func Run(cfg Config) (*Report, error) {
 	cfg.defaults()
-	dep, err := deploy(&cfg)
+	fab, dep, err := deployDesign(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -444,9 +269,12 @@ func Run(cfg Config) (*Report, error) {
 	// post-run sweep still sees the old bytes through a bare endpoint.)
 	var wipedMu sync.Mutex
 	var wiped []int
-	if dep.replicated {
+	replicated := dep.Catalog.Replicated()
+	var lay nam.ReplicaLayout
+	if replicated {
+		lay = dep.Catalog.Layout()
 		net.OnLose = func(s int) {
-			dep.fab.Server(s).Region.Zero()
+			fab.Server(s).Region.Zero()
 			wipedMu.Lock()
 			wiped = append(wiped, s)
 			wipedMu.Unlock()
@@ -467,7 +295,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	adaptive := cfg.Adaptive && cfg.Design == "hybrid"
+	adaptive := cfg.Adaptive && dep.TakesDecider()
 	var engines []*policy.Engine
 	if adaptive {
 		engines = make([]*policy.Engine, cfg.Clients)
@@ -502,58 +330,30 @@ func Run(cfg Config) (*Report, error) {
 				engines[c] = eng
 			}
 			// The full robustness stack, built inside the owning goroutine:
-			// transport endpoint → fault injection → shared retry policy →
-			// design client → operation-level recovery.
-			pol := &retry.Policy{
-				Seed:     cfg.Schedule.Seed + int64(c),
-				Counters: rec,
+			// transport endpoint → fault injection → [replica router] →
+			// shared retry policy → design client → operation-level
+			// recovery. The replication rings retry under their own seeds.
+			seeded := func(offset int64) *retry.Policy {
+				return &retry.Policy{Seed: cfg.Schedule.Seed + offset + int64(c), Counters: rec}
+			}
+			o := deploy.ClientOptions{
+				ID: c, Ep: net.Endpoint(fab.Endpoint(), c), Env: direct.Env{},
+				RouterPolicy: seeded(1_000), MirrorPolicy: seeded(2_000), Retry: seeded(0),
+				Log: log, Recover: true, MaxOpAttempts: cfg.MaxOpAttempts, Counters: rec,
 			}
 			if log != nil {
-				pol.Events = log
+				o.Retry.Events = log
 			}
-			var base rdma.Endpoint = net.Endpoint(dep.fab.Endpoint(), c)
-			var mir *repl.Mirrorer
-			if dep.replicated {
-				// Replication layers: the Router (failover re-targeting +
-				// promotion) sits below the outer retry policy so every
-				// attempt re-routes; the Mirrorer shares the Router's view,
-				// so promotions observed by either side converge. Both run
-				// their own internal policies — promotion and mirror verbs
-				// must survive the fault schedule without consuming the
-				// failing operation's budget.
-				router := repl.NewRouter(base, dep.lay, nil, &retry.Policy{
-					Seed:     cfg.Schedule.Seed + 1_000 + int64(c),
-					Counters: rec,
-				})
-				mir = repl.NewMirrorer(router, direct.Env{}, &retry.Policy{
-					Seed:     cfg.Schedule.Seed + 2_000 + int64(c),
-					Counters: rec,
-				})
-				if eng != nil {
-					// Promotions and group moves reset the policy window on
-					// top of the usual flight-recorder events.
-					router.Events = &policyReplEvents{log: log, eng: eng}
-				} else if log != nil {
-					router.Events = log
-				}
-				if log != nil {
-					mir.Events = log
-				}
-				base = router
-			}
-			ep := retry.Wrap(base, pol)
-			inner := dep.mk(ep, mir, c, log)
 			if eng != nil {
-				if a, ok := inner.(adaptiveClient); ok {
-					a.SetDecider(eng)
-					a.SetSignalFeed(win, pclk)
-				}
-			}
-			idx := core.Recover(inner, cfg.MaxOpAttempts, rec)
-			if log != nil {
-				idx = idx.WithEvents(log)
+				o.Decider, o.Feed, o.FeedClock = eng, win, pclk
 			}
 			res := &results[c]
+			cl, err := dep.Client(o)
+			if err != nil {
+				res.err = err
+				return
+			}
+			idx := cl.Serial
 			rng := rand.New(rand.NewSource(cfg.Schedule.Seed*101 + int64(c)))
 			for i := 0; i < cfg.OpsPerClient; i++ {
 				k := rng.Uint64() % cfg.Keyspace
@@ -601,6 +401,9 @@ func Run(cfg Config) (*Report, error) {
 	acked := map[kv]bool{}
 	for i := range results {
 		res := &results[i]
+		if res.err != nil {
+			return nil, fmt.Errorf("chaos: client %d: %w", i, res.err)
+		}
 		rep.AckedInserts += len(res.acked)
 		rep.FailedInserts += res.failedIns
 		rep.Lookups += res.lookups
@@ -632,16 +435,16 @@ func Run(cfg Config) (*Report, error) {
 	// group whose loss no client happened to observe — and then reads
 	// through a repl.Router so every home-addressed access lands on the
 	// acting copy.
-	bare := dep.fab.Endpoint()
+	bare := fab.Endpoint()
 	vep := bare
 	acting := func(home int) int { return home }
 	var view *repl.View
-	if dep.replicated {
-		view = postRunView(dep, wiped)
+	if replicated {
+		view = postRunView(lay, bare, wiped)
 		for h := 0; h < cfg.Servers; h++ {
 			rep.GroupEpochs = append(rep.GroupEpochs, view.Epoch(h))
 		}
-		vep = repl.NewRouter(bare, dep.lay, view, nil)
+		vep = repl.NewRouter(bare, lay, view, nil)
 		acting = view.Acting
 	}
 
@@ -660,22 +463,22 @@ func Run(cfg Config) (*Report, error) {
 		// server mid-operation — the recovery pass an operator would run
 		// before readmitting traffic; without it, the validating
 		// verification reads below would spin on the dead client's lock.
-		if dep.repair != nil {
-			cleared, err := dep.repair(vep)
+		if dep.AbandonsLocks() {
+			cleared, err := dep.RecoverLocks(vep)
 			if err != nil {
 				return rep, fmt.Errorf("chaos: post-run lock recovery: %w", err)
 			}
 			rep.LocksCleared = cleared
 			sweepLog.SweepEvent(cleared)
 		}
-		live, err := dep.check(vep, acting)
+		live, err := dep.CheckInvariants(vep)
 		if err != nil {
 			return rep, fmt.Errorf("chaos: post-run invariant check: %w", err)
 		}
 		rep.LiveEntries = live
 
 		seen := map[kv]int{}
-		if err := dep.scan(vep, func(k, v uint64) bool {
+		if err := dep.Scan(vep, func(k, v uint64) bool {
 			seen[kv{k, v}]++
 			return true
 		}); err != nil {
@@ -709,7 +512,7 @@ func Run(cfg Config) (*Report, error) {
 		// new incarnation), recopy its groups' slab extents from the acting
 		// authorities, and verify the copies byte-identical — the crash
 		// rebuild that restores full replication factor k.
-		if dep.replicated && len(wiped) > 0 {
+		if replicated && len(wiped) > 0 {
 			rep.RebuildClean = true
 			admin := net.Endpoint(bare, cfg.Clients)
 			for _, s := range wiped {
@@ -725,18 +528,18 @@ func Run(cfg Config) (*Report, error) {
 				if rerr != nil {
 					return rep, fmt.Errorf("chaos: reregister server %d: %w", s, rerr)
 				}
-				words, err := repl.RebuildMember(dep.lay, s, acting, dep.fab.Server)
+				words, err := repl.RebuildMember(lay, s, acting, fab.Server)
 				if err != nil {
 					return rep, fmt.Errorf("chaos: rebuild server %d: %w", s, err)
 				}
 				rep.RebuiltWords += words
 				sweepLog.RebuildEvent(s, words)
-				for _, h := range dep.lay.Groups.GroupsOf(s) {
-					ref := dep.fab.Server(acting(h))
-					if ref == dep.fab.Server(s) {
+				for _, h := range lay.Groups.GroupsOf(s) {
+					ref := fab.Server(acting(h))
+					if ref == fab.Server(s) {
 						continue
 					}
-					if d := repl.DiffExtent(dep.lay, h, ref, dep.fab.Server(s), dep.fab.Server); d != 0 {
+					if d := repl.DiffExtent(lay, h, ref, fab.Server(s), fab.Server); d != 0 {
 						rep.RebuildClean = false
 					}
 				}
@@ -769,16 +572,15 @@ func Run(cfg Config) (*Report, error) {
 // acting member was wiped but whose epoch words never moved — no surviving
 // client happened to touch it after the loss — is promoted here, the step a
 // readmission operator performs before serving traffic again.
-func postRunView(dep *deployment, wiped []int) *repl.View {
-	view := repl.NewView(dep.lay)
+func postRunView(lay nam.ReplicaLayout, bare rdma.Endpoint, wiped []int) *repl.View {
+	view := repl.NewView(lay)
 	lost := map[int]bool{}
 	for _, s := range wiped {
 		lost[s] = true
 		view.MarkDead(s)
 	}
-	bare := dep.fab.Endpoint()
-	for h := 0; h < dep.lay.Groups.Servers(); h++ {
-		members := dep.lay.Groups.Members(h)
+	for h := 0; h < lay.Groups.Servers(); h++ {
+		members := lay.Groups.Members(h)
 		k := uint64(len(members))
 		var e uint64
 		for _, m := range members {

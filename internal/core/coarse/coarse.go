@@ -54,8 +54,6 @@ type Options struct {
 	SpinBudget int
 }
 
-func (o Options) replicated() bool { return o.Replicas >= 2 }
-
 // Server is the server-side state: one local tree per memory server.
 type Server struct {
 	opts    Options
@@ -69,39 +67,24 @@ func NewServer(fab rdma.Fabric, opts Options) *Server {
 	if opts.Part.Servers() != fab.NumServers() {
 		panic("coarse: partitioner/fabric server count mismatch")
 	}
-	return &Server{opts: opts, fab: fab}
-}
-
-// rootWord returns the root-pointer word of server's tree: the legacy
-// superblock word, or — replicated — group server's slot in the reserved
-// replica prefix (present on every group member, so it survives failover).
-func (s *Server) rootWord(server int) rdma.RemotePtr {
-	if s.opts.replicated() {
-		return nam.GroupRootPtr(server)
-	}
-	return nam.RootWordPtr(server)
+	cat := nam.NewCatalog(nam.CoarseGrained, opts.Layout.PageBytes, fab.NumServers(), opts.Replicas, opts.RegionBytes, opts.Part)
+	return &Server{opts: opts, fab: fab, catalog: cat}
 }
 
 // tree returns a fresh tree handle for one server (handles are cheap and
 // per-goroutine; the shared state lives in the region).
-func (s *Server) tree(server int) *btree.Tree {
-	t := btree.New(s.opts.Layout, btree.LocalMem{Srv: s.fab.Server(server)}, s.rootWord(server))
-	t.VisitNS = s.opts.VisitNS
-	t.SpinBudget = s.opts.SpinBudget
-	return t
-}
+func (s *Server) tree(server int) *btree.Tree { return s.treeFor(server, server) }
 
 // treeFor returns the tree handle serving group on server. Before a failover
 // group == server and the plain local tree is used; afterwards the handler
 // serves a foreign group's mirrored pages out of its own region
 // (identity-offset replicas), allocating any new pages from its own slab.
 func (s *Server) treeFor(server, group int) *btree.Tree {
-	if !s.opts.replicated() || group == server {
-		return s.tree(server)
+	var m btree.Mem = btree.LocalMem{Srv: s.fab.Server(server)}
+	if group != server {
+		m = btree.ReplicaLocalMem{Srv: s.fab.Server(server), Home: group}
 	}
-	t := btree.New(s.opts.Layout,
-		btree.ReplicaLocalMem{Srv: s.fab.Server(server), Home: group},
-		nam.GroupRootPtr(group))
+	t := btree.New(s.opts.Layout, m, s.catalog.RootWords[group])
 	t.VisitNS = s.opts.VisitNS
 	t.SpinBudget = s.opts.SpinBudget
 	return t
@@ -114,7 +97,7 @@ func (s *Server) Init() (*nam.Catalog, error) {
 			return nil, err
 		}
 	}
-	return s.makeCatalog(), nil
+	return s.catalog, nil
 }
 
 // InitServer creates one server's empty tree (distributed deployments).
@@ -131,7 +114,7 @@ func (s *Server) Build(spec core.BuildSpec) (*nam.Catalog, error) {
 			return nil, err
 		}
 	}
-	return s.makeCatalog(), nil
+	return s.catalog, nil
 }
 
 // BuildServer bulk-loads one server's partition only. Distributed
@@ -164,38 +147,10 @@ func (s *Server) BuildServer(srv int, spec core.BuildSpec) error {
 	return nil
 }
 
-// Catalog returns the catalog describing this deployment (building it on
-// demand for distributed deployments that never call Build).
-func (s *Server) Catalog() *nam.Catalog {
-	if s.catalog == nil {
-		s.makeCatalog()
-	}
-	return s.catalog
-}
-
-func (s *Server) makeCatalog() *nam.Catalog {
-	c := &nam.Catalog{
-		Design:    nam.CoarseGrained,
-		PageBytes: s.opts.Layout.PageBytes,
-		Servers:   s.fab.NumServers(),
-	}
-	c.Replicas = s.opts.Replicas
-	c.RegionBytes = s.opts.RegionBytes
-	for i := 0; i < s.fab.NumServers(); i++ {
-		c.RootWords = append(c.RootWords, s.rootWord(i))
-	}
-	switch p := s.opts.Part.(type) {
-	case *partition.Range:
-		c.PartKind = nam.PartRange
-		c.RangeBounds = p.Bounds()
-	case *partition.Hash:
-		c.PartKind = nam.PartHash
-	default:
-		panic(fmt.Sprintf("coarse: unsupported partitioner %T", s.opts.Part))
-	}
-	s.catalog = c
-	return c
-}
+// Catalog returns the catalog describing this deployment. It depends only
+// on the options, so every process of a distributed deployment serves the
+// same one whichever servers it built.
+func (s *Server) Catalog() *nam.Catalog { return s.catalog }
 
 // respErr classifies a handler-side tree failure: spin-budget exhaustion is
 // op-recoverable at the client (StatusRetry — fence, re-run), anything else
@@ -216,12 +171,12 @@ func (s *Server) Handler() rdma.Handler {
 			return nam.ErrResponse(err).Encode(), rdma.Work{}
 		}
 		group := server
-		if s.opts.replicated() {
+		if s.catalog.Replicated() {
 			group = int(req.Group)
 		}
 		t := s.treeFor(server, group)
 		var capt *repl.Capture
-		if s.opts.replicated() {
+		if s.catalog.Replicated() {
 			// Memory servers cannot reach each other (NAM keeps them
 			// passive): committed post-images are captured and shipped back
 			// for the *client* to mirror before it acks.
@@ -274,11 +229,7 @@ func (s *Server) Handler() rdma.Handler {
 				resp = &nam.Response{Status: nam.StatusNotFound}
 			}
 		case nam.OpCatalog:
-			if s.catalog == nil {
-				resp = nam.ErrResponse(fmt.Errorf("coarse: no catalog yet"))
-			} else {
-				resp = &nam.Response{Status: nam.StatusOK, Pairs: bytesToWords(s.catalog.Encode())}
-			}
+			resp = &nam.Response{Status: nam.StatusOK, Pairs: bytesToWords(s.catalog.Encode())}
 		default:
 			resp = nam.ErrResponse(fmt.Errorf("coarse: bad op %d", req.Op))
 		}
@@ -308,23 +259,6 @@ func (s *Server) CheckInvariants() (int, error) {
 		n, err := s.tree(i).CheckInvariants(rdma.NopEnv{}) //rdmavet:allow nopenv -- test-only invariant sweep, never on the timed path
 		if err != nil {
 			return 0, fmt.Errorf("server %d: %w", i, err)
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// CheckInvariantsAt is CheckInvariants for a (possibly) failed-over
-// replicated deployment: acting maps each group home to the member currently
-// serving it, and each group's tree is verified through that member's
-// identity-offset copy. With the identity mapping it degenerates to
-// CheckInvariants.
-func (s *Server) CheckInvariantsAt(acting func(home int) int) (int, error) {
-	total := 0
-	for g := 0; g < s.fab.NumServers(); g++ {
-		n, err := s.treeFor(acting(g), g).CheckInvariants(rdma.NopEnv{}) //rdmavet:allow nopenv -- test-only invariant sweep, never on the timed path
-		if err != nil {
-			return 0, fmt.Errorf("group %d (acting server %d): %w", g, acting(g), err)
 		}
 		total += n
 	}

@@ -8,6 +8,7 @@ import (
 	"github.com/namdb/rdmatree/internal/obs"
 	"github.com/namdb/rdmatree/internal/pipeline"
 	"github.com/namdb/rdmatree/internal/rdma"
+	"github.com/namdb/rdmatree/internal/telemetry"
 )
 
 // PipelinedClient is the asynchronous variant of Client: up to inflight RPCs
@@ -76,7 +77,11 @@ func (m *rpc) TakePause() bool { return false }
 func (m *rpc) Outcome() pipeline.Outcome { return m.out }
 
 // NewPipelinedClient binds an asynchronous client to an endpoint;
-// inflight <= 0 selects pipeline.DefaultInflight.
+// inflight <= 0 selects pipeline.DefaultInflight. It does not run on a
+// replicated catalog: the client has no mirror push, so inserts would ack
+// before their pages reach the backups, and the replica router
+// (repl.Router) has no Post/Flush/Poll, so the engine would fall back to
+// blocking verbs. internal/deploy rejects the combination.
 func NewPipelinedClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, inflight int) *PipelinedClient {
 	c := NewClient(ep, env, cat)
 	eng := pipeline.New(pipeline.Config{
@@ -88,6 +93,11 @@ func NewPipelinedClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, inflig
 	})
 	return &PipelinedClient{eng: eng, serial: c}
 }
+
+// SetRecorder directs the pipeline-shape counters (doorbell coalescing,
+// in-flight depth) into rec; the index counters of the server-side
+// operations come from the handler's Options.Telemetry.
+func (c *PipelinedClient) SetRecorder(rec *telemetry.Recorder) { c.eng.SetRecorder(rec) }
 
 // SetOpLog attaches the flight recorder: completed operations land as
 // retroactive spans carrying their partition, and every RPC records its

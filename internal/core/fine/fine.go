@@ -39,15 +39,8 @@ type Options struct {
 // replicated deployments use group 0's root word in the reserved replica
 // prefix instead, so the word itself survives a failover of server 0.
 func Build(setupEp rdma.Endpoint, opts Options, spec core.BuildSpec) (*nam.Catalog, error) {
-	servers := setupEp.NumServers()
-	rootWord := nam.RootWordPtr(0)
-	if opts.Replicas >= 2 {
-		rootWord = nam.GroupRootPtr(0)
-	}
-	t := btree.New(opts.Layout, &btree.EndpointMem{
-		Ep:    setupEp,
-		Place: btree.RoundRobin(servers, 0),
-	}, rootWord)
+	cat := nam.NewCatalog(nam.FineGrained, opts.Layout.PageBytes, setupEp.NumServers(), opts.Replicas, opts.RegionBytes, nil)
+	t := btree.New(opts.Layout, PageMem(setupEp, cat, 0), cat.RootWords[0])
 	cfg := btree.BuildConfig{Fill: spec.Fill, HeadEvery: spec.HeadEvery}
 	if spec.N == 0 {
 		if err := t.Init(rdma.NopEnv{}); err != nil { //rdmavet:allow nopenv -- bootstrap: runs once before timed traffic
@@ -56,14 +49,7 @@ func Build(setupEp rdma.Endpoint, opts Options, spec core.BuildSpec) (*nam.Catal
 	} else if _, err := t.Build(rdma.NopEnv{}, cfg, spec.N, spec.At); err != nil { //rdmavet:allow nopenv -- bulk load is an untimed setup path
 		return nil, err
 	}
-	return &nam.Catalog{
-		Design:      nam.FineGrained,
-		PageBytes:   opts.Layout.PageBytes,
-		Servers:     servers,
-		RootWords:   []rdma.RemotePtr{rootWord},
-		Replicas:    opts.Replicas,
-		RegionBytes: opts.RegionBytes,
-	}, nil
+	return cat, nil
 }
 
 // Client is one compute thread's handle onto the fine-grained index. All
@@ -80,28 +66,22 @@ var _ core.Index = (*Client)(nil)
 // NewClient binds a client to an endpoint. rrStart staggers the round-robin
 // placement of pages the client allocates on splits (pass the client ID).
 func NewClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart int) *Client {
-	l := layout.New(cat.PageBytes)
-	t := btree.New(l, &btree.EndpointMem{
-		Ep:    ep,
-		Place: btree.RoundRobin(cat.Servers, rrStart),
-	}, cat.RootWords[0])
-	return &Client{tree: t, env: env}
+	return NewClientOn(PageMem(ep, cat, rrStart), env, cat)
 }
 
-// NewUnbatchedClient is NewClient running the paper's original Listing-2
-// read protocol: the page READ and the version-validation READ are issued as
-// two separate blocking verbs per level instead of one fused
-// selectively-signalled batch. It exists as the measured baseline for the
-// doorbell-batching experiment (and for figure reproductions that pin the
-// paper's verb sequence); production clients should use NewClient.
-func NewUnbatchedClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart int) *Client {
-	l := layout.New(cat.PageBytes)
-	t := btree.New(l, &btree.EndpointMem{
-		Ep:        ep,
-		Place:     btree.RoundRobin(cat.Servers, rrStart),
-		Unbatched: true,
-	}, cat.RootWords[0])
-	return &Client{tree: t, env: env}
+// PageMem is the design's page access path over ep: fused one-sided reads,
+// and round-robin placement of split pages staggered by rrStart. Set its
+// Unbatched field for the paper's original Listing-2 reads (two blocking
+// READs per level, the measured baseline of the doorbell-batching
+// experiment), or put a page cache in front of it.
+func PageMem(ep rdma.Endpoint, cat *nam.Catalog, rrStart int) *btree.EndpointMem {
+	return &btree.EndpointMem{Ep: ep, Place: btree.RoundRobin(cat.Servers, rrStart)}
+}
+
+// NewClientOn binds a client to a page access path: a PageMem, or a
+// decorator of one such as a page cache.
+func NewClientOn(m btree.Mem, env rdma.Env, cat *nam.Catalog) *Client {
+	return &Client{tree: btree.New(layout.New(cat.PageBytes), m, cat.RootWords[0]), env: env}
 }
 
 // SetRecorder directs the client's per-operation protocol counters
@@ -187,14 +167,8 @@ func (c *Client) SetSpinBudget(n int) { c.tree.SpinBudget = n }
 // pages in front of the one-sided reads (the Appendix A.4 extension). The
 // returned cache exposes hit/miss statistics.
 func NewCachedClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart, maxPages int) (*Client, *cache.Mem) {
-	l := layout.New(cat.PageBytes)
-	base := &btree.EndpointMem{
-		Ep:    ep,
-		Place: btree.RoundRobin(cat.Servers, rrStart),
-	}
-	cm := cache.New(base, l, maxPages)
-	t := btree.New(l, cm, cat.RootWords[0])
-	return &Client{tree: t, env: env}, cm
+	cm := cache.New(PageMem(ep, cat, rrStart), layout.New(cat.PageBytes), maxPages)
+	return NewClientOn(cm, env, cat), cm
 }
 
 // GC is the global epoch garbage collector of the fine-grained design: it

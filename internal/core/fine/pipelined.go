@@ -58,6 +58,12 @@ func (m *traversal) record(res btree.StepResult) btree.StepResult {
 // pipeline.DefaultInflight. When the endpoint can re-establish queue pairs
 // (it implements rdma.Reconnector, e.g. faultnet), QP errors on one
 // in-flight operation are recovered without disturbing the others.
+//
+// It does not run on a replicated catalog: btree.Traversal never mirrors a
+// committed page, so inserts would ack while their pages exist on the
+// primary only, and the replica router (repl.Router) has no
+// Post/Flush/Poll, so the engine would fall back to blocking verbs.
+// internal/deploy rejects the combination.
 func NewPipelinedClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart, inflight int) *PipelinedClient {
 	c := NewClient(ep, env, cat, rrStart)
 	eng := pipeline.New(pipeline.Config{

@@ -61,26 +61,27 @@ type Options struct {
 	SpinBudget int
 }
 
-func (o Options) replicated() bool { return o.Replicas >= 2 }
-
 // Server is the server side: per-server upper-level trees.
 type Server struct {
 	opts    Options
 	fab     rdma.Fabric
 	catalog *nam.Catalog
-	// load, when non-nil, supplies each server's handler-CPU utilization in
-	// [0,1]; the handler piggybacks it on every reply (nam.Response.Load).
-	load func(server int) float64
+	// load, when non-nil, holds each server's handler-CPU utilization probe
+	// ([0,1]), piggybacked on every reply (nam.Response.Load).
+	load []func() float64
 }
 
-// SetLoadProbe installs a per-server CPU-utilization probe; replies then
-// carry the load signal the adaptive traversal policy consumes (the
-// crossover between RPC offload and one-sided traversal moves with server
-// load, so clients need to see it). The deployment supplies the probe —
-// simnet.Fabric.ServerCoreLoad on the simulated fabric — keeping this
-// package free of any dependency on the fabric's implementation.
-func (s *Server) SetLoadProbe(probe func(server int) float64) {
-	s.load = probe
+// SetLoadProbe installs one CPU-utilization probe per server, made by probe
+// and shared by the server's handlers. Replies then carry the load signal
+// the adaptive traversal policy consumes: the crossover between RPC offload
+// and one-sided traversal moves with server load. The deployment supplies
+// the probes (simnet.Fabric.ServerCoreLoad), keeping this package free of
+// any dependency on the fabric's implementation.
+func (s *Server) SetLoadProbe(probe func(server int) func() float64) {
+	s.load = make([]func() float64, s.fab.NumServers())
+	for i := range s.load {
+		s.load[i] = probe(i)
+	}
 }
 
 // NewServer wires the design's server side onto a fabric.
@@ -88,39 +89,24 @@ func NewServer(fab rdma.Fabric, opts Options) *Server {
 	if opts.Part.Servers() != fab.NumServers() {
 		panic("hybrid: partitioner/fabric server count mismatch")
 	}
-	return &Server{opts: opts, fab: fab}
-}
-
-// rootWord returns the root-pointer word of server's upper levels: the
-// legacy superblock word, or — replicated — group server's slot in the
-// reserved replica prefix (present on every member, surviving failover).
-func (s *Server) rootWord(server int) rdma.RemotePtr {
-	if s.opts.replicated() {
-		return nam.GroupRootPtr(server)
-	}
-	return nam.RootWordPtr(server)
+	cat := nam.NewCatalog(nam.Hybrid, opts.Layout.PageBytes, fab.NumServers(), opts.Replicas, opts.RegionBytes, opts.Part)
+	return &Server{opts: opts, fab: fab, catalog: cat}
 }
 
 // tree returns a fresh server-side handle for one server's upper levels.
 // Handlers only ever touch inner nodes, which are all local.
-func (s *Server) tree(server int) *btree.Tree {
-	t := btree.New(s.opts.Layout, btree.LocalMem{Srv: s.fab.Server(server)}, s.rootWord(server))
-	t.VisitNS = s.opts.VisitNS
-	t.SpinBudget = s.opts.SpinBudget
-	return t
-}
+func (s *Server) tree(server int) *btree.Tree { return s.treeFor(server, server) }
 
 // treeFor returns the handle serving group's upper levels on server. Before
 // a failover group == server; afterwards the handler traverses the foreign
 // group's mirrored inner nodes out of its own region (identity-offset
 // replicas), allocating any new inner pages from its own slab.
 func (s *Server) treeFor(server, group int) *btree.Tree {
-	if !s.opts.replicated() || group == server {
-		return s.tree(server)
+	var m btree.Mem = btree.LocalMem{Srv: s.fab.Server(server)}
+	if group != server {
+		m = btree.ReplicaLocalMem{Srv: s.fab.Server(server), Home: group}
 	}
-	t := btree.New(s.opts.Layout,
-		btree.ReplicaLocalMem{Srv: s.fab.Server(server), Home: group},
-		nam.GroupRootPtr(group))
+	t := btree.New(s.opts.Layout, m, s.catalog.RootWords[group])
 	t.VisitNS = s.opts.VisitNS
 	t.SpinBudget = s.opts.SpinBudget
 	return t
@@ -137,7 +123,7 @@ func (s *Server) Build(setupEp rdma.Endpoint, spec core.BuildSpec) (*nam.Catalog
 			return nil, err
 		}
 	}
-	return s.makeCatalog(), nil
+	return s.catalog, nil
 }
 
 // BuildServer bulk-loads one partition only: its leaves are spread over all
@@ -157,7 +143,7 @@ func (s *Server) BuildServer(setupEp rdma.Endpoint, srv int, spec core.BuildSpec
 		}
 		return srv
 	}
-	t := btree.New(s.opts.Layout, &btree.EndpointMem{Ep: setupEp, Place: place}, s.rootWord(srv))
+	t := btree.New(s.opts.Layout, &btree.EndpointMem{Ep: setupEp, Place: place}, s.catalog.RootWords[srv])
 	count := 0
 	for i := 0; i < spec.N; i++ {
 		k, _ := spec.At(i)
@@ -185,17 +171,13 @@ func (s *Server) BuildServer(setupEp rdma.Endpoint, srv int, spec core.BuildSpec
 	}
 	// Guarantee the root is an inner node on the owning server: wrap a
 	// single-leaf tree in a one-entry inner root.
-	return ensureInnerRoot(setupEp, s.opts.Layout, srv, s.rootWord(srv))
+	return ensureInnerRoot(setupEp, s.opts.Layout, srv, s.catalog.RootWords[srv])
 }
 
-// Catalog returns the catalog describing this deployment (building it on
-// demand for distributed deployments that never call Build).
-func (s *Server) Catalog() *nam.Catalog {
-	if s.catalog == nil {
-		s.makeCatalog()
-	}
-	return s.catalog
-}
+// Catalog returns the catalog describing this deployment. It depends only
+// on the options, so every process of a distributed deployment serves the
+// same one whichever partitions it built.
+func (s *Server) Catalog() *nam.Catalog { return s.catalog }
 
 // ensureInnerRoot wraps a leaf root in a local inner root (the hybrid
 // invariant: server-side traversal only touches local inner nodes).
@@ -229,30 +211,6 @@ func ensureInnerRoot(ep rdma.Endpoint, l layout.Layout, srv int, rootWord rdma.R
 	return ep.Write(rootWord, []uint64{uint64(innerPtr)})
 }
 
-func (s *Server) makeCatalog() *nam.Catalog {
-	c := &nam.Catalog{
-		Design:    nam.Hybrid,
-		PageBytes: s.opts.Layout.PageBytes,
-		Servers:   s.fab.NumServers(),
-	}
-	c.Replicas = s.opts.Replicas
-	c.RegionBytes = s.opts.RegionBytes
-	for i := 0; i < s.fab.NumServers(); i++ {
-		c.RootWords = append(c.RootWords, s.rootWord(i))
-	}
-	switch p := s.opts.Part.(type) {
-	case *partition.Range:
-		c.PartKind = nam.PartRange
-		c.RangeBounds = p.Bounds()
-	case *partition.Hash:
-		c.PartKind = nam.PartHash
-	default:
-		panic(fmt.Sprintf("hybrid: unsupported partitioner %T", s.opts.Part))
-	}
-	s.catalog = c
-	return c
-}
-
 // respErr classifies a handler-side tree failure: spin-budget exhaustion is
 // op-recoverable at the client (StatusRetry — fence, re-traverse, re-run),
 // anything else aborts the operation.
@@ -263,7 +221,8 @@ func respErr(err error) *nam.Response {
 	return nam.ErrResponse(err)
 }
 
-// Handler returns the RPC handler serving OpTraverse and OpInstall.
+// Handler returns the RPC handler serving OpTraverse, OpInstall and
+// OpCatalog.
 func (s *Server) Handler() rdma.Handler {
 	return func(env rdma.Env, server int, reqBytes []byte) ([]byte, rdma.Work) {
 		req, err := nam.DecodeRequest(reqBytes)
@@ -271,12 +230,12 @@ func (s *Server) Handler() rdma.Handler {
 			return nam.ErrResponse(err).Encode(), rdma.Work{}
 		}
 		group := server
-		if s.opts.replicated() {
+		if s.catalog.Replicated() {
 			group = int(req.Group)
 		}
 		t := s.treeFor(server, group)
 		var capt *repl.Capture
-		if s.opts.replicated() {
+		if s.catalog.Replicated() {
 			// Servers are passive toward each other (NAM): committed inner
 			// pages are captured and shipped back for the client to mirror.
 			capt = &repl.Capture{}
@@ -301,6 +260,8 @@ func (s *Server) Handler() rdma.Handler {
 			} else {
 				resp = &nam.Response{Status: nam.StatusOK}
 			}
+		case nam.OpCatalog:
+			resp = &nam.Response{Status: nam.StatusOK, Pairs: nam.PackBytes(s.catalog.Encode())}
 		default:
 			resp = nam.ErrResponse(fmt.Errorf("hybrid: bad op %d", req.Op))
 		}
@@ -313,7 +274,7 @@ func (s *Server) Handler() rdma.Handler {
 			resp.Dirty = capt.Pages
 		}
 		if s.load != nil {
-			if u := s.load(server); u > 0 {
+			if u := s.load[server](); u > 0 {
 				if u > 1 {
 					u = 1
 				}
@@ -329,7 +290,7 @@ func (s *Server) Handler() rdma.Handler {
 func (s *Server) CheckInvariants(ep rdma.Endpoint) (int, error) {
 	total := 0
 	for i := 0; i < s.fab.NumServers(); i++ {
-		t := btree.New(s.opts.Layout, &btree.EndpointMem{Ep: ep, Place: btree.Fixed(i)}, s.rootWord(i))
+		t := btree.New(s.opts.Layout, &btree.EndpointMem{Ep: ep, Place: btree.Fixed(i)}, s.catalog.RootWords[i])
 		n, err := t.CheckInvariants(rdma.NopEnv{}) //rdmavet:allow nopenv -- test-only invariant sweep, never on the timed path
 		if err != nil {
 			return 0, fmt.Errorf("server %d: %w", i, err)
@@ -337,24 +298,6 @@ func (s *Server) CheckInvariants(ep rdma.Endpoint) (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// RecoverLocks sweeps every partition's tree for page locks abandoned by
-// clients interrupted mid-operation (btree.Tree.RecoverLocks) and releases
-// them. Only the fine-grained leaf level can hold abandoned locks — inner
-// levels are locked exclusively by the owning server's handlers, which run to
-// completion — but the sweep walks whole partitions, which costs nothing
-// extra and asserts that invariant. Must run quiesced.
-func (s *Server) RecoverLocks(ep rdma.Endpoint) (cleared int, err error) {
-	for i := 0; i < s.fab.NumServers(); i++ {
-		t := btree.New(s.opts.Layout, &btree.EndpointMem{Ep: ep, Place: btree.Fixed(i)}, s.rootWord(i))
-		n, err := t.RecoverLocks()
-		if err != nil {
-			return cleared, fmt.Errorf("server %d: %w", i, err)
-		}
-		cleared += n
-	}
-	return cleared, nil
 }
 
 // GC is the hybrid design's split garbage collection (Section 5): a global

@@ -95,7 +95,11 @@ func (m *machine) Outcome() pipeline.Outcome { return m.out }
 
 // NewPipelinedClient binds an asynchronous client to an endpoint; rrStart
 // staggers split-page placement, inflight <= 0 selects
-// pipeline.DefaultInflight.
+// pipeline.DefaultInflight. It does not run on a replicated catalog: the
+// client has no mirror push, so inserts would ack before their pages reach
+// the backups, and the replica router (repl.Router) has no
+// Post/Flush/Poll, so the engine would fall back to blocking verbs.
+// internal/deploy rejects the combination.
 func NewPipelinedClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart, inflight int) *PipelinedClient {
 	c := NewClient(ep, env, cat, rrStart)
 	eng := pipeline.New(pipeline.Config{

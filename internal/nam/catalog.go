@@ -38,6 +38,31 @@ func (d Design) String() string {
 	}
 }
 
+// Name returns the design's short name — "coarse", "fine" or "hybrid" —
+// as command-line flags and metric labels spell it.
+func (d Design) Name() string {
+	switch d {
+	case CoarseGrained:
+		return "coarse"
+	case FineGrained:
+		return "fine"
+	case Hybrid:
+		return "hybrid"
+	default:
+		return "unknown"
+	}
+}
+
+// ParseDesign parses a design's short name (see Name).
+func ParseDesign(name string) (Design, error) {
+	for _, d := range []Design{CoarseGrained, FineGrained, Hybrid} {
+		if d.Name() == name {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("nam: unknown design %q (want coarse, fine or hybrid)", name)
+}
+
 // PartitionKind names the coarse-grained partitioning function.
 type PartitionKind int
 
@@ -73,6 +98,69 @@ type Catalog struct {
 	// RegionBytes is the uniform registered-region size, needed by clients
 	// to reconstruct the replicated slab geometry. Zero when unreplicated.
 	RegionBytes uint64
+}
+
+// NewCatalog describes design deployed over servers memory servers: one
+// tree per server partitioned by part (coarse-grained, hybrid), or one
+// global tree rooted on server 0 (fine-grained; part is ignored). Root
+// words sit in the superblock or, replicated, in each group's slot of the
+// reserved replica prefix, present on every member to survive a failover.
+func NewCatalog(design Design, pageBytes, servers, replicas int, regionBytes uint64, part partition.Partitioner) *Catalog {
+	c := &Catalog{
+		Design:      design,
+		PageBytes:   pageBytes,
+		Servers:     servers,
+		Replicas:    replicas,
+		RegionBytes: regionBytes,
+	}
+	root := RootWordPtr
+	if c.Replicated() {
+		root = GroupRootPtr
+	}
+	if design == FineGrained {
+		c.RootWords = []rdma.RemotePtr{root(0)}
+		return c
+	}
+	for i := 0; i < servers; i++ {
+		c.RootWords = append(c.RootWords, root(i))
+	}
+	switch p := part.(type) {
+	case *partition.Range:
+		c.PartKind = PartRange
+		c.RangeBounds = p.Bounds()
+	case *partition.Hash:
+		c.PartKind = PartHash
+	default:
+		panic(fmt.Sprintf("nam: unsupported partitioner %T", part))
+	}
+	return c
+}
+
+// FetchCatalog asks server's RPC handler for the catalog (OpCatalog), as a
+// compute server consults the catalog service.
+func FetchCatalog(ep rdma.Endpoint, server int) (*Catalog, error) {
+	raw, err := ep.Call(server, (&Request{Op: OpCatalog}).Encode())
+	if err != nil {
+		return nil, err
+	}
+	resp, err := DecodeResponse(raw)
+	if err != nil {
+		return nil, err
+	}
+	if err := resp.AsError(); err != nil {
+		return nil, err
+	}
+	return DecodeCatalog(UnpackBytes(resp.Pairs))
+}
+
+// Partitions returns the number of key partitions: one per server for the
+// coarse-grained and hybrid designs, none for the fine-grained design's
+// single global tree.
+func (c *Catalog) Partitions() int {
+	if c.Design == FineGrained {
+		return 0
+	}
+	return c.Servers
 }
 
 // Replicated reports whether the deployment runs with page replication.

@@ -5,13 +5,9 @@ import (
 	"testing"
 
 	"github.com/namdb/rdmatree/internal/core"
-	"github.com/namdb/rdmatree/internal/core/coarse"
-	"github.com/namdb/rdmatree/internal/core/fine"
-	"github.com/namdb/rdmatree/internal/core/hybrid"
-	"github.com/namdb/rdmatree/internal/layout"
+	"github.com/namdb/rdmatree/internal/deploy"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/partition"
-	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
 	"github.com/namdb/rdmatree/internal/rdma/faultnet"
 )
@@ -44,91 +40,26 @@ func TestChaosPipelinedSplitHeavy(t *testing.T) {
 	}
 }
 
-// chaosDeployment is one design deployed for runChaosPipelined.
-type chaosDeployment struct {
-	fab *direct.Fabric
-	// client builds client id's pipelined client over ep.
-	client func(ep rdma.Endpoint, id int) asyncIndex
-	// bare is a serial client over the fault-free endpoint.
-	bare core.Index
-	// verify releases locks abandoned by interrupted clients and checks the
-	// index's invariants; it runs quiesced, after the clients finished.
-	verify func() error
-}
-
-func deployChaos(t *testing.T, design string, pageBytes int, spec core.BuildSpec, keyspace uint64) chaosDeployment {
+// deployChaos deploys design on a three-server direct fabric with the spin
+// budget a fault-injected deployment needs.
+func deployChaos(t *testing.T, design string, pageBytes int, spec core.BuildSpec, keyspace uint64) (*direct.Fabric, *deploy.Deployment) {
 	t.Helper()
-	const servers, inflight, spinBudget = 3, 8, 64
-	fab := direct.New(servers, 64<<20, nam.SuperblockBytes)
-	l := layout.New(pageBytes)
-	part := partition.NewRangeUniform(servers, keyspace)
-	switch design {
-	case "fine":
-		cat, err := fine.Build(fab.Endpoint(), fine.Options{Layout: l}, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bare := fine.NewClient(fab.Endpoint(), direct.Env{}, cat, 0)
-		return chaosDeployment{
-			fab: fab,
-			client: func(ep rdma.Endpoint, id int) asyncIndex {
-				pc := fine.NewPipelinedClient(ep, direct.Env{}, cat, id, inflight)
-				pc.SetSpinBudget(spinBudget)
-				return pc
-			},
-			bare: bare,
-			verify: func() error {
-				if _, err := bare.Tree().RecoverLocks(); err != nil {
-					return err
-				}
-				_, err := bare.Tree().CheckInvariants(rdma.NopEnv{})
-				return err
-			},
-		}
-	case "coarse":
-		srv := coarse.NewServer(fab, coarse.Options{Layout: l, Part: part, SpinBudget: spinBudget})
-		cat, err := srv.Build(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fab.SetHandler(srv.Handler())
-		return chaosDeployment{
-			fab: fab,
-			client: func(ep rdma.Endpoint, _ int) asyncIndex {
-				return coarse.NewPipelinedClient(ep, direct.Env{}, cat, inflight)
-			},
-			bare: coarse.NewClient(fab.Endpoint(), direct.Env{}, cat),
-			// Handlers take and release every lock within one RPC, and a
-			// failed Call never executed, so no lock can be abandoned.
-			verify: func() error {
-				_, err := srv.CheckInvariants()
-				return err
-			},
-		}
-	default:
-		srv := hybrid.NewServer(fab, hybrid.Options{Layout: l, Part: part, SpinBudget: spinBudget})
-		cat, err := srv.Build(fab.Endpoint(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fab.SetHandler(srv.Handler())
-		return chaosDeployment{
-			fab: fab,
-			client: func(ep rdma.Endpoint, id int) asyncIndex {
-				pc := hybrid.NewPipelinedClient(ep, direct.Env{}, cat, id, inflight)
-				pc.SetSpinBudget(spinBudget)
-				return pc
-			},
-			bare: hybrid.NewClient(fab.Endpoint(), direct.Env{}, cat, 0),
-			verify: func() error {
-				if _, err := srv.RecoverLocks(fab.Endpoint()); err != nil {
-					return err
-				}
-				_, err := srv.CheckInvariants(fab.Endpoint())
-				return err
-			},
-		}
+	const servers = 3
+	d, err := nam.ParseDesign(design)
+	if err != nil {
+		t.Fatal(err)
 	}
+	fab := direct.New(servers, 64<<20, nam.SuperblockBytes)
+	dep, err := deploy.Build(fab, fab.Endpoint(), deploy.Options{
+		Design:     d,
+		PageBytes:  pageBytes,
+		Part:       partition.NewRangeUniform(servers, keyspace),
+		SpinBudget: 64,
+	}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fab, dep
 }
 
 func runChaosPipelined(t *testing.T, design string, pageBytes, preload int) {
@@ -138,7 +69,7 @@ func runChaosPipelined(t *testing.T, design string, pageBytes, preload int) {
 		keyspace     = 1 << 16
 	)
 	step := uint64(keyspace / preload)
-	dep := deployChaos(t, design, pageBytes, core.BuildSpec{
+	fab, dep := deployChaos(t, design, pageBytes, core.BuildSpec{
 		N:         preload,
 		At:        func(i int) (uint64, uint64) { return uint64(i) * step, uint64(i) },
 		HeadEvery: 6,
@@ -165,7 +96,14 @@ func runChaosPipelined(t *testing.T, design string, pageBytes, preload int) {
 			defer wg.Done()
 			// Each engine owns its endpoint; the faultnet decorator is the
 			// Reconnector the engine uses to clear QP errors.
-			pc := dep.client(net.Endpoint(dep.fab.Endpoint(), c), c)
+			cl, err := dep.Client(deploy.ClientOptions{
+				ID: c, Ep: net.Endpoint(fab.Endpoint(), c), Env: direct.Env{}, Inflight: 8,
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			pc := cl.Pipelined
 			// Deterministic multiplicative-hash key walk, disjoint per client.
 			for i := 0; i < opsPerClient; i++ {
 				k := (uint64(i)*2654435761 + uint64(c)) % keyspace
@@ -195,11 +133,17 @@ func runChaosPipelined(t *testing.T, design string, pageBytes, preload int) {
 	// Post-run verification through the fault-free endpoint: release any
 	// lock abandoned by an operation that exhausted its recovery budget,
 	// then verify the index and sweep the whole keyspace.
-	if err := dep.verify(); err != nil {
+	bare := fab.Endpoint()
+	if dep.AbandonsLocks() {
+		if _, err := dep.RecoverLocks(bare); err != nil {
+			t.Fatalf("post-run lock recovery: %v", err)
+		}
+	}
+	if _, err := dep.CheckInvariants(bare); err != nil {
 		t.Fatalf("post-run verification: %v", err)
 	}
 	seen := map[kv]int{}
-	if err := dep.bare.Range(0, ^uint64(0)>>1, func(k, v uint64) bool {
+	if err := dep.Scan(bare, func(k, v uint64) bool {
 		seen[kv{k, v}]++
 		return true
 	}); err != nil {

@@ -7,31 +7,13 @@ import (
 
 	"github.com/namdb/rdmatree/internal/core"
 	"github.com/namdb/rdmatree/internal/core/coarse"
-	"github.com/namdb/rdmatree/internal/core/fine"
 	"github.com/namdb/rdmatree/internal/core/hybrid"
+	"github.com/namdb/rdmatree/internal/deploy"
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/partition"
-	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
-	"github.com/namdb/rdmatree/internal/rdma/repl"
 	"github.com/namdb/rdmatree/internal/workload"
-)
-
-// asyncIndex is the callback surface shared by all three designs' pipelined
-// clients.
-type asyncIndex interface {
-	Lookup(key uint64, cb func(values []uint64, err error))
-	Insert(key, value uint64, cb func(err error))
-	Delete(key, value uint64, cb func(found bool, err error))
-	Range(lo, hi uint64, emit func(k, v uint64) bool) error
-	Drain()
-}
-
-var (
-	_ asyncIndex = (*fine.PipelinedClient)(nil)
-	_ asyncIndex = (*coarse.PipelinedClient)(nil)
-	_ asyncIndex = (*hybrid.PipelinedClient)(nil)
 )
 
 // The range section inserts rangeInserts keys from rangeFirst on and scans
@@ -63,7 +45,7 @@ func driveSerialRange(t *testing.T, idx core.Index) string {
 
 // driveAsync mirrors driveSerial through the callback surface, draining at
 // section boundaries.
-func driveAsync(t *testing.T, c asyncIndex) string {
+func driveAsync(t *testing.T, c deploy.Pipelined) string {
 	t.Helper()
 	type getRes struct {
 		vals []uint64
@@ -217,46 +199,36 @@ func TestReplicatedRoutingMatchesSerial(t *testing.T) {
 		At:        func(i int) (uint64, uint64) { return uint64(i) * step, uint64(i) },
 		HeadEvery: 8,
 	}
-	// deploy builds a replicated deployment and returns its serial and
-	// pipelined clients.
-	deploy := func(design string, inflight int) (core.Index, asyncIndex) {
-		lay := nam.NewReplicaLayout(servers, 2, region)
-		fab := direct.New(servers, region, int(lay.Reserved()))
-		for i := 0; i < servers; i++ {
-			fab.Server(i).Alloc = rdma.NewAllocator(lay.SlabLo(i), lay.SlabHi(i))
+	// build deploys design replicated and returns its serial client and a
+	// pipelined client. The builder rejects pipelined clients on replicated
+	// deployments — their inserts would not mirror — so the pipelined one
+	// is made by hand; lookups need no mirroring.
+	build := func(design nam.Design, inflight int) (core.Index, deploy.Pipelined) {
+		fab := direct.New(servers, region, nam.SuperblockBytes)
+		dep, err := deploy.Build(fab, fab.Endpoint(), deploy.Options{
+			Design:    design,
+			PageBytes: 512,
+			Part:      partition.NewRangeUniform(servers, keyspace),
+			Replicas:  2,
+		}, spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		part := partition.NewRangeUniform(servers, keyspace)
-		var serial core.Index
-		var pipelined asyncIndex
-		switch design {
-		case "coarse":
-			srv := coarse.NewServer(fab, coarse.Options{Layout: layout.New(512), Part: part, Replicas: 2, RegionBytes: region})
-			cat, err := srv.Build(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fab.SetHandler(srv.Handler())
-			serial = coarse.NewClient(fab.Endpoint(), direct.Env{}, cat)
-			pipelined = coarse.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, inflight)
-		default:
-			srv := hybrid.NewServer(fab, hybrid.Options{Layout: layout.New(512), Part: part, Replicas: 2, RegionBytes: region})
-			cat, err := srv.Build(fab.Endpoint(), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fab.SetHandler(srv.Handler())
-			serial = hybrid.NewClient(fab.Endpoint(), direct.Env{}, cat, 0)
-			pipelined = hybrid.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, 0, inflight)
+		cl, err := dep.Client(deploy.ClientOptions{Ep: fab.Endpoint(), Env: direct.Env{}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		repl.SyncReplicas(lay, fab.Server)
-		return serial, pipelined
+		if design == nam.CoarseGrained {
+			return cl.Serial, coarse.NewPipelinedClient(fab.Endpoint(), direct.Env{}, dep.Catalog, inflight)
+		}
+		return cl.Serial, hybrid.NewPipelinedClient(fab.Endpoint(), direct.Env{}, dep.Catalog, 0, inflight)
 	}
 	var keys []uint64
 	for i := 0; i < preload; i += 22 {
 		keys = append(keys, uint64(i)*step)
 	}
-	for _, design := range []string{"coarse", "hybrid"} {
-		serial, _ := deploy(design, 1)
+	for _, design := range []nam.Design{nam.CoarseGrained, nam.Hybrid} {
+		serial, _ := build(design, 1)
 		var want []string
 		for _, k := range keys {
 			vals, err := serial.Lookup(k)
@@ -266,7 +238,7 @@ func TestReplicatedRoutingMatchesSerial(t *testing.T) {
 			want = append(want, fmt.Sprintf("%v %v", vals, err))
 		}
 		for _, inflight := range []int{1, 8} {
-			_, pc := deploy(design, inflight)
+			_, pc := build(design, inflight)
 			got := make([]string, len(keys))
 			for i, k := range keys {
 				i := i

@@ -8,6 +8,7 @@ import (
 
 	"github.com/namdb/rdmatree/internal/core"
 	"github.com/namdb/rdmatree/internal/core/fine"
+	"github.com/namdb/rdmatree/internal/deploy"
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/rdma"
@@ -50,6 +51,17 @@ func buildFineDirect(t *testing.T, servers, n, page int) (*direct.Fabric, *nam.C
 		t.Fatal(err)
 	}
 	return fab, cat
+}
+
+// legacyClient is a fine-grained client over ep on the paper's Listing-2
+// read path: two blocking READs per level.
+func legacyClient(t *testing.T, ep rdma.Endpoint, cat *nam.Catalog) core.Index {
+	t.Helper()
+	cl, err := deploy.Attach(cat).Client(deploy.ClientOptions{Ep: ep, Env: direct.Env{}, LegacyReads: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl.Serial
 }
 
 // TestConformanceDirect checks that the telemetry decorator is functionally
@@ -211,7 +223,7 @@ func TestListing2VerbSequence(t *testing.T) {
 	fab2, cat2 := buildFineDirect(t, 1, n, page)
 	rec2 := telemetry.NewRecorder(1)
 	ep2 := telemetry.Wrap(fab2.Endpoint(), rec2, nil)
-	c2 := fine.NewUnbatchedClient(ep2, direct.Env{}, cat2, 0)
+	c2 := legacyClient(t, ep2, cat2)
 	if _, err := c2.Lookup(1); err != nil { // warm the root pointer
 		t.Fatal(err)
 	}
@@ -243,7 +255,7 @@ func TestFusedLegacyByteIdentical(t *testing.T) {
 		fused := driveIndex(t, fine.NewClient(fab.Endpoint(), direct.Env{}, cat, 0))
 
 		fab2, cat2 := buildFineDirect(t, 2, 5000, 512)
-		legacy := driveIndex(t, fine.NewUnbatchedClient(fab2.Endpoint(), direct.Env{}, cat2, 0))
+		legacy := driveIndex(t, legacyClient(t, fab2.Endpoint(), cat2))
 
 		if fused != legacy {
 			t.Fatalf("fused and legacy read paths diverged:\nfused:\n%s\nlegacy:\n%s", fused, legacy)
@@ -272,11 +284,10 @@ func TestFusedLegacyByteIdentical(t *testing.T) {
 			}
 			ep := tcpnet.Dial(addrs)
 			t.Cleanup(ep.Close)
-			c := fine.NewClient(ep, rdma.NopEnv{}, cat, 0)
 			if unbatched {
-				c = fine.NewUnbatchedClient(ep, rdma.NopEnv{}, cat, 0)
+				return driveIndex(t, legacyClient(t, ep, cat))
 			}
-			return driveIndex(t, c)
+			return driveIndex(t, fine.NewClient(ep, rdma.NopEnv{}, cat, 0))
 		}
 		fused := runScript(false)
 		legacy := runScript(true)
