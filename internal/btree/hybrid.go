@@ -1,6 +1,8 @@
 package btree
 
 import (
+	"fmt"
+
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/rdma"
 )
@@ -30,7 +32,7 @@ func (t *Tree) FindLeaf(env rdma.Env, key layout.Key) (rdma.RemotePtr, Stats, er
 		if n.IsHead() || key > n.HighKey() {
 			p = n.Right()
 			if p.IsNull() {
-				return rdma.NullPtr, st, errFellOff(key)
+				return rdma.NullPtr, st, fmt.Errorf("btree: fell off chain for key %d", key)
 			}
 			continue
 		}
@@ -56,9 +58,10 @@ func (t *Tree) FindLeaf(env rdma.Env, key layout.Key) (rdma.RemotePtr, Stats, er
 // level — the hybrid design's second RPC, executed by the memory server
 // owning the upper levels after a compute server split a leaf one-sided.
 func (t *Tree) Install(env rdma.Env, level int, sep layout.Key, left, right rdma.RemotePtr) (Stats, error) {
-	var st Stats
-	err := t.installSeparator(env, &st, level, sep, left, right)
-	return st, err
+	tr := t.driver(env)
+	tr.beginInstall(level, sep, left, right)
+	err := t.drive(tr)
+	return tr.St, err
 }
 
 // Split reports a completed in-place split of the leaf Left: the upper part
@@ -71,34 +74,16 @@ type Split struct {
 
 // LeafLookup collects all live values under key starting from the leaf chain
 // at leafPtr (which must be the leaf responsible for key, or left of it).
+// The returned slice is the caller's.
 func (t *Tree) LeafLookup(env rdma.Env, leafPtr rdma.RemotePtr, key layout.Key) (values []uint64, st Stats, err error) {
-	p := leafPtr
-	buf := t.scratchPage()
-	for {
-		n, _, err := t.readNode(env, &st, p, buf)
-		if err != nil {
-			return nil, st, err
-		}
-		if n.IsHead() || key > n.HighKey() {
-			p = n.Right()
-			if p.IsNull() {
-				return values, st, nil
-			}
-			continue
-		}
-		for i := n.LeafLowerBound(key); i < n.Count() && n.LeafKey(i) == key; i++ {
-			if !n.LeafDeleted(i) {
-				values = append(values, n.LeafValue(i))
-			}
-		}
-		if n.HighKey() != key {
-			return values, st, nil
-		}
-		p = n.Right()
-		if p.IsNull() {
-			return values, st, nil
-		}
+	tr := t.driver(env)
+	tr.beginLeaf(TravLookup, leafPtr, key, 0)
+	err = t.drive(tr)
+	values, tr.Values = tr.Values, nil
+	if err != nil {
+		return nil, tr.St, err
 	}
+	return values, tr.St, nil
 }
 
 // LeafScan emits live entries in [lo, hi] starting from the leaf chain at
@@ -119,28 +104,19 @@ func (t *Tree) LeafScan(env rdma.Env, leafPtr rdma.RemotePtr, lo, hi layout.Key,
 // responsible for installing the separator into the upper levels (via the
 // hybrid design's install RPC).
 func (t *Tree) LeafInsertAt(env rdma.Env, leafPtr rdma.RemotePtr, key layout.Key, value uint64) (*Split, Stats, error) {
-	var st Stats
-	if key == layout.MaxKey {
-		return nil, st, ErrKeyReserved
+	tr := t.driver(env)
+	tr.beginLeaf(TravInsert, leafPtr, key, value)
+	if err := t.drive(tr); err != nil || !tr.owesInstall {
+		return nil, tr.St, err
 	}
-	sp, err := t.leafInsert(env, &st, leafPtr, key, value)
-	return sp, st, err
+	return &Split{Sep: tr.sep, Left: tr.left, Right: tr.right}, tr.St, nil
 }
 
 // LeafDeleteAt marks the first live (key, value) entry deleted, starting
 // from the leaf chain at leafPtr.
 func (t *Tree) LeafDeleteAt(env rdma.Env, leafPtr rdma.RemotePtr, key layout.Key, value uint64) (bool, Stats, error) {
-	var st Stats
-	ok, err := t.leafDelete(env, &st, leafPtr, key, value)
-	return ok, st, err
-}
-
-func errFellOff(key layout.Key) error {
-	return &chainError{key: key}
-}
-
-type chainError struct{ key layout.Key }
-
-func (e *chainError) Error() string {
-	return "btree: fell off chain"
+	tr := t.driver(env)
+	tr.beginLeaf(TravDelete, leafPtr, key, value)
+	err := t.drive(tr)
+	return tr.Found, tr.St, err
 }

@@ -14,13 +14,16 @@
 //
 // Readers never lock: a page is copied and the copy validated against the
 // version word (re-read after the copy), retrying while a writer holds the
-// lock. Writers CAS the lock bit, mutate a local copy, write the body back
-// and fetch-add the version word, which simultaneously releases the lock and
-// invalidates concurrent readers' copies. Splits follow the B-link
-// discipline: the left half is rewritten in place, the right half is
-// installed on a freshly allocated page, and the separator is then inserted
-// into the parent level without holding the child lock (sibling links keep
-// the tree searchable in between).
+// lock. Writers CAS the lock bit on the version their validated copy
+// carries, mutate the copy, write the body back and fetch-add the version
+// word, which simultaneously releases the lock and invalidates concurrent
+// readers' copies. Splits follow the B-link discipline: the left half is
+// rewritten in place, the right half is installed on a freshly allocated
+// page, and the separator is then inserted into the parent level without
+// holding the child lock (sibling links keep the tree searchable in
+// between). Point operations are written once, as the state machine
+// Traversal; the blocking ones step it through the Mem (drive.go). Scans
+// and the maintenance paths are blocking loops over the same page protocol.
 package btree
 
 import (

@@ -8,56 +8,53 @@ import (
 	"github.com/namdb/rdmatree/internal/rdma"
 )
 
-// This file implements the sans-I/O side of the asynchronous pipelined
-// dataplane: a Traversal is one index operation (lookup, insert or delete)
-// expressed as a resumable state machine. Instead of blocking on each verb
-// like the serial paths in tree.go, a Traversal *posts* the verbs of its next
-// step into a PostSink and suspends; when the completions arrive (typically
-// polled in one doorbell batch together with the verbs of many other
-// in-flight operations), Step advances the machine by exactly one protocol
-// step. The protocol itself — fused validated reads, right-moves past heads
-// and outgrown fences, lock CAS on the pre-read version, body write plus
-// unlock-and-bump FAA — is the same B-link protocol as the serial paths, and
-// the Stats accounting counts the same verbs (ExposedRTTs counts each fused
-// pair below as the one round it costs).
+// This file implements the B-link point-operation protocol once, as a
+// resumable state machine: a Traversal is one index operation (lookup,
+// insert or delete) that *posts* the verbs of its next step into a PostSink
+// and suspends; when their completions arrive, Step advances the machine by
+// exactly one protocol step. The pipelined clients drive many traversals at
+// once, polling the completions of all their steps in one doorbell batch.
+// The blocking entry points (Tree.Lookup/Insert/Delete, the hybrid leaf
+// halves and Install) are drivers that step one traversal to completion over
+// a sink executing each step's verbs through the tree's Mem (drive.go). The
+// protocol — fused validated reads, right-moves past heads and outgrown
+// fences, lock CAS, body write plus unlock-and-bump FAA — is the paper's
+// Listings 2-4, and the Stats accounting counts the verbs that ran
+// (ExposedRTTs counts each fused pair below as the one round it costs).
 //
-// One deliberate divergence, a pure round-trip optimization: the serial
-// write paths lock through lockNodeForKey, which re-reads the page even
-// though the descent just produced a validated copy. The state machine CASes
-// the lock directly on the version of its validated descent copy; a CAS win
-// proves the page is unchanged since that copy, so the copy is current —
-// exactly the currency guarantee lockNodeForKey's re-read establishes. A CAS
-// loss falls back to re-reading, which is the serial path's loop. The same
-// holds for the inner node a separator install locks.
+// A writer CASes the lock directly on the version of its validated descent
+// copy instead of re-reading the page first: a CAS win proves the page is
+// unchanged since that copy, so the copy is current. A CAS loss re-reads and
+// re-chases. The same holds for the inner node a separator install locks.
 //
 // The write side has a twin of the fused read. Once the lock is held, the
 // page body WRITE and the unlock-and-bump FETCH_AND_ADD are posted back to
 // back on the page's queue pair in one step: RC executes one QP's verbs in
 // posting order, so the FAA — which publishes the new version and releases
 // the lock — runs only after the body landed, and a reader that validates
-// against the bumped version has copied the new body. One exposed round trip
-// replaces the serial unlockBump's two. The two completions are handled per
-// verb under the never-executed fault model (DESIGN.md §9): a WRITE that ran
-// with a failed FAA has published the body, so the FAA is driven to
-// completion alone; a pair that both failed never ran and is reposted; a
-// failed WRITE whose FAA ran (possible only under per-completion fault
-// injection, never on real RC) left the page unchanged at a new version and
-// unlocked, so the step fails into the owner's operation-level re-run.
+// against the bumped version has copied the new body. The blocking driver
+// still runs the pair as two verbs (two rounds) until the blocking endpoint
+// stack can post. The two completions are handled per verb under the
+// never-executed fault model (DESIGN.md §9): a WRITE that ran with a failed
+// FAA has published the body, so the FAA is driven to completion alone; a
+// pair that both failed never ran and is reposted; a failed WRITE whose FAA
+// ran (possible only under per-completion fault injection, never on real RC)
+// left the page unchanged at a new version and unlocked, so the step fails
+// into the owner's operation-level re-run.
 //
 // Structural changes are steps too. An insert into a full leaf locks it like
 // any other leaf, allocates the right half through the tree's Mem (the one
-// blocking verb a step issues, on a fraction of a percent of inserts, so
-// placement matches the serial path), writes the unpublished right half in
-// its own round (it may live on another server, so it cannot share the left
-// page's QP ordering), and publishes the left half with the fused
-// WRITE+FAA. At that point the insert is committed. The separator install
-// then runs as further steps with installSeparator's semantics: re-read the
-// root word, descend to the target level, lock-chase to the pair by child
-// pointer, cut or split the inner node (recursing one level up), and grow
-// the root by a CAS on the root word. A failure after the commit fails the
-// operation like the serial path does; the owner's presence-checked re-run
-// then acks the insert exactly once, and the tree stays searchable through
-// sibling links without the separator.
+// blocking verb a step issues, on a fraction of a percent of inserts), writes
+// the unpublished right half in its own round (it may live on another
+// server, so it cannot share the left page's QP ordering), and publishes the
+// left half with the fused WRITE+FAA. At that point the insert is committed.
+// The separator install then runs as further steps: re-read the root word,
+// descend to the target level, lock-chase to the pair by child pointer, cut
+// or split the inner node (recursing one level up), and grow the root by a
+// CAS on the root word. A failure after the commit fails the operation; the
+// owner's presence-checked re-run then acks the insert exactly once, and the
+// tree stays searchable through sibling links without the separator.
+// The tree's Replicator sees each image where it becomes visible.
 
 // PostSink receives the verbs a Traversal wants posted. The engine driving
 // the traversal implements it by forwarding to an rdma.AsyncEndpoint and
@@ -109,7 +106,7 @@ type StepResult struct {
 }
 
 // stepRetryBudget bounds per-step transient-failure reposts. It mirrors the
-// serial stack's retry.Policy.MaxAttempts (default 8): there, every blocking
+// blocking stack's retry.Policy.MaxAttempts (default 8): there, every blocking
 // verb is wrapped in a bounded retry loop; here, the step is the retry unit.
 const stepRetryBudget = 8
 
@@ -138,11 +135,11 @@ const (
 	modeSepChase                   // separator install: lock walk for the cut pair
 )
 
-// Traversal is one resumable index operation. It is owned by a single
-// engine slot; all buffers are pre-allocated at construction so steady-state
-// operation, splits included, is allocation-free. The *Tree handle is shared
-// with the serial paths (layout, Mem, root cache, spin budget) but the
-// traversal never touches the handle's scratch buffers.
+// Traversal is one resumable index operation. A pipelined client owns one
+// per engine slot, built by NewTraversal with all buffers pre-allocated, so
+// steady-state operation, splits included, is allocation-free; it shares the
+// *Tree handle (layout, Mem, root cache, spin budget, replicator) with the
+// handle's own blocking driver but never touches the handle's scratch.
 type Traversal struct {
 	t   *Tree
 	env rdma.Env
@@ -180,6 +177,8 @@ type Traversal struct {
 	chaseKey    layout.Key     // lock-walk fence key: routeKey, then 0 past the first node
 	sepFound    bool           // the pair whose child is left has been seen
 	atRoot      bool           // the page read in flight is the freshly read root
+	leafHalf    bool           // started at a leaf: a split is reported, not installed
+	blocking    bool           // stepped by the blocking driver (drive.go)
 
 	stepTries   int
 	unlockTries int
@@ -220,6 +219,25 @@ func (tr *Traversal) Begin(op TraversalOp, key layout.Key, value uint64) {
 	tr.moveRight = false
 	tr.holding = false
 	tr.owesInstall = false
+	tr.leafHalf = false
+	tr.p = rdma.NullPtr
+}
+
+// beginLeaf arms the leaf half of an operation (the hybrid design's): it
+// starts on the leaf chain at leaf, and a split leaf's separator install is
+// left owed (owesInstall, with sep/left/right) instead of run.
+func (tr *Traversal) beginLeaf(op TraversalOp, leaf rdma.RemotePtr, key layout.Key, value uint64) {
+	tr.Begin(op, key, value)
+	tr.leafHalf = true
+	tr.p = leaf
+}
+
+// beginInstall arms a separator install of a completed split of left into
+// right at the given level (the hybrid design's install RPC).
+func (tr *Traversal) beginInstall(level int, sep layout.Key, left, right rdma.RemotePtr) {
+	tr.Begin(TravInsert, sep, 0)
+	tr.mode = modeSepDescend
+	tr.level, tr.sep, tr.left, tr.right, tr.routeKey = level, sep, left, right, sep
 }
 
 // TakePause reports whether the traversal wants a backoff pause (it hit a
@@ -239,15 +257,20 @@ func (tr *Traversal) TakePause() bool {
 func (tr *Traversal) Step(comps []rdma.Completion, sink PostSink) StepResult {
 	switch tr.phase {
 	case phStart:
+		if tr.mode == modeSepDescend {
+			return tr.sepRescan(sink)
+		}
 		if tr.Op == TravInsert && tr.Key == layout.MaxKey {
 			return tr.fail(ErrKeyReserved)
 		}
-		if tr.t.cachedRoot.IsNull() {
-			return tr.postRoot(sink)
+		if tr.p.IsNull() {
+			if tr.t.cachedRoot.IsNull() {
+				return tr.post(phRoot, sink)
+			}
+			tr.p = tr.t.cachedRoot
+			tr.depth = 1
 		}
-		tr.p = tr.t.cachedRoot
-		tr.depth = 1
-		return tr.postPage(sink)
+		return tr.post(phPage, sink)
 	case phRoot:
 		tr.expect(comps, 1)
 		return tr.handleRoot(comps[0], sink)
@@ -283,14 +306,14 @@ func (tr *Traversal) Redo(sink PostSink) StepResult {
 	switch tr.phase {
 	case phRoot:
 		sink.PostRead(tr.t.RootWord, tr.rootBuf[:])
-	case phPage:
+	case phPage: // the fused read: page copy, then its version word (Mem.ReadValidated)
 		sink.PostRead(tr.p, tr.pageBuf)
 		sink.PostRead(tr.p, tr.vbuf[:])
 	case phLock:
 		sink.PostCAS(tr.p, tr.ver, layout.WithLock(tr.ver))
 	case phFresh:
 		sink.PostWrite(tr.fresh, tr.freshBuf)
-	case phPublish:
+	case phPublish: // the body (version word excluded), then unlock-and-bump
 		sink.PostWrite(tr.p.Add(8), tr.pageBuf[1:])
 		sink.PostFetchAdd(tr.p, 1)
 	case phUnlock:
@@ -308,9 +331,9 @@ func (tr *Traversal) Redo(sink PostSink) StepResult {
 // Abort gives up on the operation (the owner exhausted reconnect attempts).
 // If the traversal holds a lock on a page whose body it has not modified,
 // the lock is released best-effort through the blocking path; once the body
-// write is published the page stays locked (same contract as the serial
-// unlockBump: restoring the pre-lock version would validate readers'
-// pre-write snapshots against the new body).
+// write is published the page stays locked (the unlockBump contract:
+// restoring the pre-lock version would validate readers' pre-write
+// snapshots against the new body).
 func (tr *Traversal) Abort(err error) StepResult {
 	if tr.phase == phUnlock {
 		err = fmt.Errorf("btree: unlock of %v abandoned (page stays locked): %w", tr.p, err)
@@ -336,8 +359,7 @@ func (tr *Traversal) fail(err error) StepResult {
 }
 
 // release fails the operation, first restoring the pre-lock version of a
-// page the traversal holds locked with its body unchanged — the serial
-// abortUnlock error path.
+// page the traversal holds locked with its body unchanged (abortUnlock).
 func (tr *Traversal) release(err error) StepResult {
 	if tr.holding {
 		tr.holding = false
@@ -360,8 +382,12 @@ func (tr *Traversal) expect(comps []rdma.Completion, n int) {
 // stepError classifies a failed completion for the current step: QP errors
 // block pending reconnect, other transient failures repost within the step
 // budget, and everything else fails the operation (releasing a held,
-// unmodified page).
+// unmodified page). Under the blocking driver every failure fails the
+// operation: its verbs already carry the endpoint stack's retries.
 func (tr *Traversal) stepError(err error, sink PostSink) StepResult {
+	if tr.blocking {
+		return tr.release(err)
+	}
 	if errors.Is(err, rdma.ErrQPError) {
 		return StepResult{Status: StepBlocked, Server: tr.Server(), Err: err}
 	}
@@ -387,57 +413,15 @@ func (tr *Traversal) restart() bool {
 	return false
 }
 
-// --- posting helpers ------------------------------------------------------
-
-func (tr *Traversal) postRoot(sink PostSink) StepResult {
-	tr.phase = phRoot
+// post enters phase ph and posts its verbs. A handler's page-visit time
+// (VisitNS) is charged before a page read or write-back, as readNode does.
+func (tr *Traversal) post(ph travPhase, sink PostSink) StepResult {
+	if tr.t.VisitNS > 0 && (ph == phPage || ph == phPublish) {
+		tr.env.Charge(tr.t.VisitNS)
+	}
+	tr.phase = ph
 	tr.stepTries = 0
-	sink.PostRead(tr.t.RootWord, tr.rootBuf[:])
-	return StepResult{Status: StepRunning}
-}
-
-// postPage posts the fused consistent-read protocol: the full page copy and
-// the version-word re-read back to back on the same QP. In-order execution
-// per queue pair guarantees the version word is read after the page copy —
-// the same one-exposed-round-trip validation Mem.ReadValidated performs with
-// a selectively signalled two-entry batch.
-func (tr *Traversal) postPage(sink PostSink) StepResult {
-	tr.phase = phPage
-	sink.PostRead(tr.p, tr.pageBuf)
-	sink.PostRead(tr.p, tr.vbuf[:])
-	return StepResult{Status: StepRunning}
-}
-
-func (tr *Traversal) postLock(sink PostSink) StepResult {
-	tr.phase = phLock
-	tr.stepTries = 0
-	sink.PostCAS(tr.p, tr.ver, layout.WithLock(tr.ver))
-	return StepResult{Status: StepRunning}
-}
-
-func (tr *Traversal) postFresh(sink PostSink) StepResult {
-	tr.phase = phFresh
-	tr.stepTries = 0
-	sink.PostWrite(tr.fresh, tr.freshBuf)
-	return StepResult{Status: StepRunning}
-}
-
-// postPublish posts the write side's fused pair: the body WRITE (the version
-// word excluded) and the unlock-and-bump FAA, back to back on p's QP, so
-// the FAA executes after the body landed (see the file comment).
-func (tr *Traversal) postPublish(sink PostSink) StepResult {
-	tr.phase = phPublish
-	tr.stepTries = 0
-	sink.PostWrite(tr.p.Add(8), tr.pageBuf[1:])
-	sink.PostFetchAdd(tr.p, 1)
-	return StepResult{Status: StepRunning}
-}
-
-func (tr *Traversal) postUnlockNC(sink PostSink) StepResult {
-	tr.phase = phUnlockNC
-	tr.stepTries = 0
-	sink.PostCAS(tr.p, layout.WithLock(tr.ver), tr.ver)
-	return StepResult{Status: StepRunning}
+	return tr.Redo(sink)
 }
 
 // --- completion handlers --------------------------------------------------
@@ -457,7 +441,7 @@ func (tr *Traversal) handleRoot(c rdma.Completion, sink PostSink) StepResult {
 	tr.depth = 1
 	tr.atRoot = tr.mode == modeSepDescend
 	tr.stepTries = 0
-	return tr.postPage(sink)
+	return tr.post(phPage, sink)
 }
 
 func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResult {
@@ -469,7 +453,6 @@ func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResu
 	tr.St.PageReads++
 	tr.St.WordReads++
 	tr.St.ExposedRTTs++
-	tr.env.Charge(tr.t.VisitNS)
 	tr.stepTries = 0
 	v := tr.vbuf[0]
 	if v != layout.BufVersion(tr.pageBuf) || layout.IsLocked(v) {
@@ -481,7 +464,7 @@ func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResu
 		if tr.restart() {
 			return tr.fail(fmt.Errorf("btree: %d restarts reading %v: %w", tr.St.Restarts, tr.p, ErrSpinBudget))
 		}
-		return tr.postPage(sink)
+		return tr.post(phPage, sink)
 	}
 	tr.ver = v
 	n := tr.t.L.Wrap(tr.pageBuf)
@@ -499,14 +482,14 @@ func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResu
 			}
 			tr.p = child
 			tr.depth++
-			return tr.postPage(sink)
+			return tr.post(phPage, sink)
 		}
 		tr.St.Depth = tr.depth
 		if tr.Op == TravLookup {
 			return tr.collect(n, sink)
 		}
 		tr.mode = modeChase
-		return tr.postLock(sink)
+		return tr.post(phLock, sink)
 
 	case modeCollect:
 		if n.IsHead() {
@@ -514,7 +497,7 @@ func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResu
 			if tr.p.IsNull() {
 				return tr.done()
 			}
-			return tr.postPage(sink)
+			return tr.post(phPage, sink)
 		}
 		return tr.collect(n, sink)
 
@@ -522,7 +505,7 @@ func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResu
 		if n.IsHead() || tr.Key > n.HighKey() {
 			return tr.moveTo(n.Right(), tr.Key, sink)
 		}
-		return tr.postLock(sink)
+		return tr.post(phLock, sink)
 
 	case modeSepDescend:
 		if tr.atRoot {
@@ -535,7 +518,7 @@ func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResu
 				if tr.restart() {
 					return tr.fail(fmt.Errorf("btree: %d restarts waiting for root growth: %w", tr.St.Restarts, ErrSpinBudget))
 				}
-				return tr.postRoot(sink)
+				return tr.post(phRoot, sink)
 			}
 		}
 		if n.Level() > tr.level {
@@ -551,7 +534,7 @@ func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResu
 			if tr.p.IsNull() {
 				return tr.fail(fmt.Errorf("btree: fell off chain installing sep %d", tr.sep))
 			}
-			return tr.postPage(sink)
+			return tr.post(phPage, sink)
 		}
 		tr.mode = modeSepChase
 		tr.chaseKey = tr.routeKey
@@ -561,7 +544,7 @@ func (tr *Traversal) handlePage(comps []rdma.Completion, sink PostSink) StepResu
 		if n.IsHead() || tr.chaseKey > n.HighKey() {
 			return tr.moveTo(n.Right(), tr.chaseKey, sink)
 		}
-		return tr.postLock(sink)
+		return tr.post(phLock, sink)
 	}
 }
 
@@ -571,11 +554,11 @@ func (tr *Traversal) moveTo(right rdma.RemotePtr, key layout.Key, sink PostSink)
 	if tr.p.IsNull() {
 		return tr.fail(fmt.Errorf("btree: fell off chain for key %d", key))
 	}
-	return tr.postPage(sink)
+	return tr.post(phPage, sink)
 }
 
 // collect harvests key's values from a consistent leaf copy and follows
-// duplicate spill over the fence into right siblings (Tree.Lookup's loop).
+// duplicate spill over the fence into right siblings.
 func (tr *Traversal) collect(n layout.Node, sink PostSink) StepResult {
 	for i := n.LeafLowerBound(tr.Key); i < n.Count() && n.LeafKey(i) == tr.Key; i++ {
 		if !n.LeafDeleted(i) {
@@ -590,7 +573,7 @@ func (tr *Traversal) collect(n layout.Node, sink PostSink) StepResult {
 		return tr.done()
 	}
 	tr.mode = modeCollect
-	return tr.postPage(sink)
+	return tr.post(phPage, sink)
 }
 
 func (tr *Traversal) handleLock(c rdma.Completion, sink PostSink) StepResult {
@@ -605,7 +588,7 @@ func (tr *Traversal) handleLock(c rdma.Completion, sink PostSink) StepResult {
 			return tr.fail(fmt.Errorf("btree: %d restarts locking %v: %w", tr.St.Restarts, tr.p, ErrSpinBudget))
 		}
 		tr.stepTries = 0
-		return tr.postPage(sink) // re-read, re-chase, re-lock
+		return tr.post(phPage, sink) // re-read, re-chase, re-lock
 	}
 	// Lock held, and the CAS win proves pageBuf (validated at ver) is still
 	// the page's current content.
@@ -617,7 +600,7 @@ func (tr *Traversal) handleLock(c rdma.Completion, sink PostSink) StepResult {
 	switch tr.Op {
 	case TravInsert:
 		if n.LeafInsert(tr.Key, tr.Value) {
-			return tr.postPublish(sink)
+			return tr.post(phPublish, sink)
 		}
 		return tr.splitLeaf(n, sink)
 	default: // TravDelete
@@ -627,26 +610,25 @@ func (tr *Traversal) handleLock(c rdma.Completion, sink PostSink) StepResult {
 			}
 			n.SetLeafDeleted(i, true)
 			tr.Found = true
-			return tr.postPublish(sink)
+			return tr.post(phPublish, sink)
 		}
 		// Not in this leaf; duplicates may continue right.
 		tr.moveRight = n.HighKey() == tr.Key
 		tr.next = n.Right()
-		return tr.postUnlockNC(sink)
+		return tr.post(phUnlockNC, sink)
 	}
 }
 
-// splitLeaf is the B-link leaf split of the locked, full leaf n at p
-// (Tree.leafInsert's split): the right half goes to a freshly allocated page,
-// the left half is rewritten in place, and the separator install follows the
-// left half's publish.
+// splitLeaf is the B-link leaf split of the locked, full leaf n at p: the
+// right half goes to a freshly allocated page, the left half is rewritten in
+// place, and the separator install follows the left half's publish.
 func (tr *Traversal) splitLeaf(n layout.Node, sink PostSink) StepResult {
 	rp, err := tr.t.M.AllocPage(0, tr.t.L.PageBytes)
 	if err != nil {
 		return tr.release(err)
 	}
 	tr.St.ExposedRTTs++
-	right := tr.t.L.Wrap(tr.freshBuf)
+	right := tr.t.L.Wrap(tr.freshPage())
 	right.InitLeaf()
 	sep := n.LeafSplit(right)
 	right.SetRight(n.Right())
@@ -661,7 +643,16 @@ func (tr *Traversal) splitLeaf(n layout.Node, sink PostSink) StepResult {
 	}
 	tr.fresh = rp
 	tr.owe(1, sep)
-	return tr.postFresh(sink)
+	return tr.post(phFresh, sink)
+}
+
+// freshPage returns the buffer a split or root growth builds its new page
+// in; the blocking driver's traversal allocates it at its first split.
+func (tr *Traversal) freshPage() []uint64 {
+	if tr.freshBuf == nil {
+		tr.freshBuf = make([]uint64, tr.t.L.Words)
+	}
+	return tr.freshBuf
 }
 
 // owe records the separator install a split of the node at p into fresh
@@ -683,11 +674,16 @@ func (tr *Traversal) handleFresh(c rdma.Completion, sink PostSink) StepResult {
 	tr.St.PageWrites++
 	tr.St.ExposedRTTs++
 	tr.env.Charge(tr.t.VisitNS)
+	if r := tr.t.Repl; r != nil {
+		if err := r.MirrorFresh(tr.fresh, tr.freshBuf); err != nil {
+			return tr.release(err)
+		}
+	}
 	if !tr.holding {
-		return tr.postRootCAS(sink)
+		return tr.post(phRootCAS, sink)
 	}
 	tr.St.Splits++
-	return tr.postPublish(sink)
+	return tr.post(phPublish, sink)
 }
 
 // handlePublish consumes the fused body WRITE + unlock FAA pair, one
@@ -696,10 +692,12 @@ func (tr *Traversal) handlePublish(w, f rdma.Completion, sink PostSink) StepResu
 	if w.Err == nil {
 		tr.St.PageWrites++
 		tr.St.ExposedRTTs++
-		tr.env.Charge(tr.t.VisitNS)
 		tr.holding = false
 		if f.Err == nil {
 			tr.St.Atomics++
+			if tr.blocking {
+				tr.St.ExposedRTTs++ // the driver ran the pair as two rounds
+			}
 			return tr.published(sink)
 		}
 		// The body is published: the version must move forward, so the FAA
@@ -729,14 +727,14 @@ func (tr *Traversal) handlePublish(w, f rdma.Completion, sink PostSink) StepResu
 
 func (tr *Traversal) handleUnlock(c rdma.Completion, sink PostSink) StepResult {
 	if c.Err != nil {
-		if errors.Is(c.Err, rdma.ErrQPError) {
+		if errors.Is(c.Err, rdma.ErrQPError) && !tr.blocking {
 			return StepResult{Status: StepBlocked, Server: tr.Server(), Err: c.Err}
 		}
 		if !rdma.IsTransient(c.Err) {
 			return tr.fail(c.Err)
 		}
 		// The body is published: the version MUST move forward, so the FAA
-		// is driven to completion exactly like the serial unlockBump loop.
+		// is driven to completion, as in unlockBump.
 		tr.unlockTries++
 		if tr.unlockTries >= unlockCompletionBudget {
 			return tr.fail(fmt.Errorf("btree: unlock of %v incomplete after %d attempts (page stays locked): %w",
@@ -750,11 +748,21 @@ func (tr *Traversal) handleUnlock(c rdma.Completion, sink PostSink) StepResult {
 	return tr.published(sink)
 }
 
-// published continues after a page's new body and version are visible: a
-// split goes on to install its separator one level up, anything else is
-// complete.
+// published continues after a page's new body and version are visible: the
+// post-image is mirrored, then a split goes on to install its separator one
+// level up (unless the traversal is a leaf half), anything else is complete.
 func (tr *Traversal) published(sink PostSink) StepResult {
-	if !tr.owesInstall {
+	if r := tr.t.Repl; r != nil {
+		// The page is published at version ver+2 (the lock CAS set ver|1,
+		// the FAA added 1). A mirror failure leaves the op un-acked but the
+		// primary copy committed, which the recovery layer's presence check
+		// resolves idempotently.
+		layout.SetBufVersion(tr.pageBuf, tr.ver+2)
+		if err := r.MirrorPage(tr.p, tr.pageBuf); err != nil {
+			return tr.fail(err)
+		}
+	}
+	if !tr.owesInstall || tr.leafHalf {
 		return tr.done()
 	}
 	tr.owesInstall = false
@@ -781,16 +789,16 @@ func (tr *Traversal) handleUnlockNC(c rdma.Completion, sink PostSink) StepResult
 	tr.p = tr.next
 	tr.mode = modeChase
 	tr.stepTries = 0
-	return tr.postPage(sink)
+	return tr.post(phPage, sink)
 }
 
-// --- separator install (Tree.installSeparator as steps) -------------------
+// --- separator install -----------------------------------------------------
 
 // sepRescan restarts the install from a fresh read of the root word.
 func (tr *Traversal) sepRescan(sink PostSink) StepResult {
 	tr.mode = modeSepDescend
 	tr.sepFound = false
-	return tr.postRoot(sink)
+	return tr.post(phRoot, sink)
 }
 
 // sepLocked runs on the locked target-level node n: find the pair whose
@@ -810,7 +818,7 @@ func (tr *Traversal) sepLocked(n layout.Node, sink PostSink) StepResult {
 		}
 		if idx < 0 {
 			tr.next = n.Right()
-			return tr.postUnlockNC(sink)
+			return tr.post(phUnlockNC, sink)
 		}
 		tr.sepFound = true
 	}
@@ -821,11 +829,11 @@ func (tr *Traversal) sepLocked(n layout.Node, sink PostSink) StepResult {
 	}
 	if idx == n.Count() {
 		tr.next = n.Right()
-		return tr.postUnlockNC(sink)
+		return tr.post(phUnlockNC, sink)
 	}
 	if n.Count() < tr.t.L.InnerCap {
 		n.InnerCutAt(idx, tr.sep, tr.right)
-		return tr.postPublish(sink)
+		return tr.post(phPublish, sink)
 	}
 	// Target inner node full: split it (same B-link discipline), cut in the
 	// correct half, then install the new separator one level up.
@@ -834,7 +842,7 @@ func (tr *Traversal) sepLocked(n layout.Node, sink PostSink) StepResult {
 		return tr.release(err)
 	}
 	tr.St.ExposedRTTs++
-	right := tr.t.L.Wrap(tr.freshBuf)
+	right := tr.t.L.Wrap(tr.freshPage())
 	right.InitInner(tr.level)
 	sep2 := n.InnerSplit(right)
 	right.SetRight(n.Right())
@@ -847,7 +855,7 @@ func (tr *Traversal) sepLocked(n layout.Node, sink PostSink) StepResult {
 	}
 	tr.fresh = rp
 	tr.owe(tr.level+1, sep2)
-	return tr.postFresh(sink)
+	return tr.post(phFresh, sink)
 }
 
 // sepNext continues after the no-change unlock of a node that did not hold
@@ -858,7 +866,7 @@ func (tr *Traversal) sepNext(sink PostSink) StepResult {
 		tr.p = tr.next
 		tr.chaseKey = 0
 		tr.stepTries = 0
-		return tr.postPage(sink)
+		return tr.post(phPage, sink)
 	}
 	if !tr.sepFound && tr.routeKey != 0 {
 		// Two benign races end up here: (a) left is itself the right half
@@ -880,27 +888,20 @@ func (tr *Traversal) sepNext(sink PostSink) StepResult {
 	return tr.sepRescan(sink)
 }
 
-// growRoot installs a new root above left/right (Tree.tryGrowRoot): build
-// it on a fresh page, write it, then CAS it into the root word.
+// growRoot installs a new root above left/right: build it on a fresh page,
+// write it, then CAS it into the root word.
 func (tr *Traversal) growRoot(sink PostSink) StepResult {
 	np, err := tr.t.M.AllocPage(tr.level, tr.t.L.PageBytes)
 	if err != nil {
 		return tr.fail(err)
 	}
 	tr.St.ExposedRTTs++
-	nr := tr.t.L.Wrap(tr.freshBuf)
+	nr := tr.t.L.Wrap(tr.freshPage())
 	nr.InitInner(tr.level)
 	nr.InnerAppend(tr.sep, tr.left)
 	nr.InnerAppend(layout.MaxKey, tr.right)
 	tr.fresh = np
-	return tr.postFresh(sink)
-}
-
-func (tr *Traversal) postRootCAS(sink PostSink) StepResult {
-	tr.phase = phRootCAS
-	tr.stepTries = 0
-	sink.PostCAS(tr.t.RootWord, uint64(tr.left), uint64(tr.fresh))
-	return StepResult{Status: StepRunning}
+	return tr.post(phFresh, sink)
 }
 
 func (tr *Traversal) handleRootCAS(c rdma.Completion, sink PostSink) StepResult {
@@ -912,6 +913,11 @@ func (tr *Traversal) handleRootCAS(c rdma.Completion, sink PostSink) StepResult 
 	if c.Val == uint64(tr.left) {
 		tr.St.Splits++
 		tr.t.cachedRoot = tr.fresh
+		if r := tr.t.Repl; r != nil {
+			if err := r.MirrorWord(tr.t.RootWord, uint64(tr.fresh)); err != nil {
+				return tr.fail(err)
+			}
+		}
 		return tr.done()
 	}
 	// Lost the race; the page was never published, safe to free.

@@ -103,11 +103,13 @@ type Tree struct {
 	cachedRoot rdma.RemotePtr
 
 	// Per-handle scratch. A Tree handle is single-owner (one compute thread
-	// or one RPC handler invocation), so the descent/lock paths share one
-	// lazily allocated page buffer and Lookup reuses one values buffer —
-	// the hot paths run allocation-free in steady state.
-	pageBuf   []uint64
-	valuesBuf []uint64
+	// or one RPC handler invocation), so the blocking paths share one lazily
+	// allocated page buffer, and the point operations step one traversal
+	// over one sink (drive.go) — the hot paths run allocation-free in
+	// steady state.
+	pageBuf []uint64
+	drv     Traversal
+	sink    memSink
 }
 
 // scratchPage returns the handle's lazily allocated page buffer. Callers own
@@ -390,40 +392,12 @@ func (t *Tree) descendToLeaf(env rdma.Env, st *Stats, key layout.Key) (rdma.Remo
 // until the next operation on this handle. Callers that retain values across
 // operations must copy them out.
 func (t *Tree) Lookup(env rdma.Env, key layout.Key) (values []uint64, st Stats, err error) {
-	p, n, _, err := t.descendToLeaf(env, &st, key)
-	if err != nil {
-		return nil, st, err
+	tr := t.driver(env)
+	tr.Begin(TravLookup, key, 0)
+	if err := t.drive(tr); err != nil {
+		return nil, tr.St, err
 	}
-	values = t.valuesBuf[:0]
-	for {
-		for i := n.LeafLowerBound(key); i < n.Count() && n.LeafKey(i) == key; i++ {
-			if !n.LeafDeleted(i) {
-				values = append(values, n.LeafValue(i))
-			}
-		}
-		// Duplicates may spill over the fence into right siblings.
-		if n.HighKey() != key {
-			t.valuesBuf = values
-			return values, st, nil
-		}
-		p = n.Right()
-		for {
-			if p.IsNull() {
-				t.valuesBuf = values
-				return values, st, nil
-			}
-			// Reuse the descent buffer: the previous copy is done with.
-			n, _, err = t.readNode(env, &st, p, n.W)
-			if err != nil {
-				t.valuesBuf = values[:0]
-				return nil, st, err
-			}
-			if !n.IsHead() {
-				break
-			}
-			p = n.Right()
-		}
-	}
+	return tr.Values, tr.St, nil
 }
 
 // Scan visits all live entries with lo <= key <= hi in key order, calling
@@ -551,363 +525,20 @@ func (t *Tree) scanChain(env rdma.Env, st *Stats, p rdma.RemotePtr, n layout.Nod
 
 // Insert adds (key, value) to the index. Duplicate keys are allowed.
 func (t *Tree) Insert(env rdma.Env, key layout.Key, value uint64) (st Stats, err error) {
-	if key == layout.MaxKey {
-		return st, ErrKeyReserved
-	}
-	leafPtr, _, _, err := t.descendToLeaf(env, &st, key)
-	if err != nil {
-		return st, err
-	}
-	sp, err := t.leafInsert(env, &st, leafPtr, key, value)
-	if err != nil || sp == nil {
-		return st, err
-	}
-	err = t.installSeparator(env, &st, 1, sp.Sep, sp.Left, sp.Right)
-	return st, err
-}
-
-// leafInsert performs the leaf-level half of an insert: lock the responsible
-// leaf (moving right past outgrown fences), insert, and split if full. The
-// returned *Split (nil if no split) still needs its separator installed
-// upstairs.
-func (t *Tree) leafInsert(env rdma.Env, st *Stats, leafPtr rdma.RemotePtr, key layout.Key, value uint64) (*Split, error) {
-	p, n, pre, err := t.lockNodeForKey(env, st, leafPtr, key)
-	if err != nil {
-		return nil, err
-	}
-	if n.LeafInsert(key, value) {
-		return nil, t.unlockBump(env, st, p, n, pre)
-	}
-	// Leaf full: B-link split. The right half goes to a fresh page (placed
-	// by the Mem's policy: round-robin for the fine-grained design), the
-	// left half is rewritten in place, then the separator is installed
-	// upstairs without holding the leaf lock.
-	rightPtr, err := t.M.AllocPage(0, t.L.PageBytes)
-	if err != nil {
-		t.abortUnlock(st, p, pre)
-		return nil, err
-	}
-	st.ExposedRTTs++
-	right := t.L.NewNode()
-	right.InitLeaf()
-	sep := n.LeafSplit(right)
-	right.SetRight(n.Right())
-	right.SetLeft(p)
-	n.SetRight(rightPtr)
-	if key <= sep {
-		if !n.LeafInsert(key, value) {
-			panic("btree: no space in left half after split")
-		}
-	} else {
-		if !right.LeafInsert(key, value) {
-			panic("btree: no space in right half after split")
-		}
-	}
-	if err := t.M.WriteWords(rightPtr, right.W); err != nil {
-		// The right half was never published (no pointer to it exists yet):
-		// release the leaf unchanged. The allocated page leaks to the GC.
-		t.abortUnlock(st, p, pre)
-		return nil, err
-	}
-	if t.Repl != nil {
-		// Mirror the unpublished right half before the left half's
-		// unlockBump publishes the pointer to it: after the ack, every live
-		// backup holds both halves.
-		if err := t.Repl.MirrorFresh(rightPtr, right.W); err != nil {
-			t.abortUnlock(st, p, pre)
-			return nil, err
-		}
-	}
-	st.PageWrites++
-	st.ExposedRTTs++
-	st.Splits++
-	env.Charge(t.VisitNS)
-	if err := t.unlockBump(env, st, p, n, pre); err != nil {
-		return nil, err
-	}
-	return &Split{Sep: sep, Left: p, Right: rightPtr}, nil
-}
-
-// installSeparator inserts the boundary sep at the given level after a split
-// of the in-place (left) node at level-1, repointing the displaced range at
-// right. It grows a new root when the tree height increases.
-//
-// With duplicate keys the separator value alone cannot identify the pair to
-// cut (several children may carry equal separators), so the target pair is
-// located by *child pointer*: find the pair whose child is left, then
-// advance to the first pair of that group whose separator is >= sep — that
-// pair's range contains the cut.
-func (t *Tree) installSeparator(env rdma.Env, st *Stats, level int, sep layout.Key, left, right rdma.RemotePtr) error {
-	routeKey := sep
-	var rbuf []uint64
-	for {
-		rootPtr, err := t.refreshRoot(st)
-		if err != nil {
-			return err
-		}
-		rootNode, _, err := t.readNode(env, st, rootPtr, rbuf)
-		if err != nil {
-			return err
-		}
-		rbuf = rootNode.W
-		if rootNode.Level() < level {
-			if rootPtr == left {
-				grown, err := t.tryGrowRoot(env, st, level, sep, left, right)
-				if err != nil {
-					return err
-				}
-				if grown {
-					return nil
-				}
-			}
-			// A concurrent writer is growing the root; wait for it.
-			st.Restarts++
-			if t.overBudget(st) {
-				return fmt.Errorf("btree: %d restarts waiting for root growth: %w", st.Restarts, ErrSpinBudget)
-			}
-			env.Pause()
-			continue
-		}
-		// Descend to the target level guided by routeKey.
-		p, n := rootPtr, rootNode
-		for n.Level() > level {
-			if n.IsHead() || routeKey > n.HighKey() {
-				p = n.Right()
-			} else {
-				child, ok := n.InnerRoute(routeKey)
-				if !ok {
-					panic("btree: routing failed within fence")
-				}
-				p = child
-			}
-			if p.IsNull() {
-				return fmt.Errorf("btree: fell off chain installing sep %d", sep)
-			}
-			if n, _, err = t.readNode(env, st, p, n.W); err != nil {
-				return err
-			}
-		}
-		// Walk right from p looking for the pair whose child is left.
-		var pre uint64
-		p, n, pre, err = t.lockNodeForKey(env, st, p, routeKey)
-		if err != nil {
-			return err
-		}
-		idx := -1
-		for {
-			for i := 0; i < n.Count(); i++ {
-				if n.InnerChild(i) == left {
-					idx = i
-					break
-				}
-			}
-			if idx >= 0 {
-				break
-			}
-			next := n.Right()
-			if err := t.unlockNoChange(st, p, pre); err != nil {
-				return err
-			}
-			if next.IsNull() {
-				break
-			}
-			p = next
-			if p, n, pre, err = t.lockNodeForKey(env, st, p, 0); err != nil {
-				return err
-			}
-		}
-		if idx < 0 {
-			// Two benign races end up here: (a) left is itself the right
-			// half of an earlier split whose separator install has not
-			// completed yet, so no pair points at it; (b) a racing second
-			// split of left already installed a smaller separator for it,
-			// left of where routeKey landed us. Rescan from the level's left
-			// end, then wait for the pending install and retry.
-			if routeKey != 0 {
-				routeKey = 0
-			} else {
-				routeKey = sep
-				st.Restarts++
-				if t.overBudget(st) {
-					return fmt.Errorf("btree: %d restarts installing sep %d: %w", st.Restarts, sep, ErrSpinBudget)
-				}
-				env.Pause()
-			}
-			continue
-		}
-		// Advance to the cut pair: the first pair of left's group with
-		// separator >= sep (the group's pairs are contiguous, ascending, and
-		// may spill into right siblings if this inner node split).
-		for {
-			for idx < n.Count() && n.InnerKey(idx) < sep {
-				idx++
-			}
-			if idx < n.Count() {
-				break
-			}
-			next := n.Right()
-			if err := t.unlockNoChange(st, p, pre); err != nil {
-				return err
-			}
-			if next.IsNull() {
-				// Transient chain state; retry from routing.
-				idx = -1
-				break
-			}
-			p = next
-			if p, n, pre, err = t.lockNodeForKey(env, st, p, 0); err != nil {
-				return err
-			}
-			idx = 0
-		}
-		if idx < 0 {
-			st.Restarts++
-			if t.overBudget(st) {
-				return fmt.Errorf("btree: %d restarts installing sep %d: %w", st.Restarts, sep, ErrSpinBudget)
-			}
-			env.Pause()
-			continue
-		}
-		if n.Count() < t.L.InnerCap {
-			n.InnerCutAt(idx, sep, right)
-			return t.unlockBump(env, st, p, n, pre)
-		}
-		// Target inner node full: split it (same B-link discipline), cut in
-		// the correct half, then recurse upstairs.
-		right2Ptr, err := t.M.AllocPage(level, t.L.PageBytes)
-		if err != nil {
-			t.abortUnlock(st, p, pre)
-			return err
-		}
-		st.ExposedRTTs++
-		right2 := t.L.NewNode()
-		right2.InitInner(level)
-		sep2 := n.InnerSplit(right2)
-		right2.SetRight(n.Right())
-		right2.SetLeft(p)
-		n.SetRight(right2Ptr)
-		if idx < n.Count() {
-			n.InnerCutAt(idx, sep, right)
-		} else {
-			right2.InnerCutAt(idx-n.Count(), sep, right)
-		}
-		if err := t.M.WriteWords(right2Ptr, right2.W); err != nil {
-			t.abortUnlock(st, p, pre)
-			return err
-		}
-		if t.Repl != nil {
-			if err := t.Repl.MirrorFresh(right2Ptr, right2.W); err != nil {
-				t.abortUnlock(st, p, pre)
-				return err
-			}
-		}
-		st.PageWrites++
-		st.ExposedRTTs++
-		st.Splits++
-		env.Charge(t.VisitNS)
-		if err := t.unlockBump(env, st, p, n, pre); err != nil {
-			return err
-		}
-		return t.installSeparator(env, st, level+1, sep2, p, right2Ptr)
-	}
-}
-
-// tryGrowRoot installs a new root above left/right. Returns false if another
-// writer grew the root first (the caller re-descends).
-func (t *Tree) tryGrowRoot(env rdma.Env, st *Stats, level int, sep layout.Key, left, right rdma.RemotePtr) (bool, error) {
-	newRootPtr, err := t.M.AllocPage(level, t.L.PageBytes)
-	if err != nil {
-		return false, err
-	}
-	st.ExposedRTTs++
-	nr := t.L.NewNode()
-	nr.InitInner(level)
-	nr.InnerAppend(sep, left)
-	nr.InnerAppend(layout.MaxKey, right)
-	if err := t.M.WriteWords(newRootPtr, nr.W); err != nil {
-		return false, err
-	}
-	if t.Repl != nil {
-		if err := t.Repl.MirrorFresh(newRootPtr, nr.W); err != nil {
-			return false, err
-		}
-	}
-	st.PageWrites++
-	st.ExposedRTTs++
-	env.Charge(t.VisitNS)
-	prev, err := t.M.CAS(t.RootWord, uint64(left), uint64(newRootPtr))
-	if err != nil {
-		return false, err
-	}
-	st.Atomics++
-	st.ExposedRTTs++
-	if prev != uint64(left) {
-		// Lost the race; the page was never published, safe to free.
-		if err := t.M.FreePage(newRootPtr, t.L.PageBytes); err != nil {
-			return false, err
-		}
-		st.ExposedRTTs++
-		t.cachedRoot = rdma.NullPtr
-		return false, nil
-	}
-	st.Splits++
-	t.cachedRoot = newRootPtr
-	if t.Repl != nil {
-		if err := t.Repl.MirrorWord(t.RootWord, uint64(newRootPtr)); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
+	tr := t.driver(env)
+	tr.Begin(TravInsert, key, value)
+	err = t.drive(tr)
+	return tr.St, err
 }
 
 // Delete marks the first live entry matching (key, value) with the delete
 // bit (Section 3.2: deletes set a bit; physical removal is the epoch garbage
 // collector's job). It reports whether an entry was marked.
 func (t *Tree) Delete(env rdma.Env, key layout.Key, value uint64) (bool, Stats, error) {
-	var st Stats
-	leafPtr, _, _, err := t.descendToLeaf(env, &st, key)
-	if err != nil {
-		return false, st, err
-	}
-	ok, err := t.leafDelete(env, &st, leafPtr, key, value)
-	return ok, st, err
-}
-
-// leafDelete performs the leaf-level half of a delete starting from the
-// chain at leafPtr.
-func (t *Tree) leafDelete(env rdma.Env, st *Stats, leafPtr rdma.RemotePtr, key layout.Key, value uint64) (bool, error) {
-	p := leafPtr
-	for {
-		var n layout.Node
-		var pre uint64
-		var err error
-		p, n, pre, err = t.lockNodeForKey(env, st, p, key)
-		if err != nil {
-			return false, err
-		}
-		for i := n.LeafLowerBound(key); i < n.Count() && n.LeafKey(i) == key; i++ {
-			if n.LeafDeleted(i) {
-				continue
-			}
-			if n.LeafValue(i) != value {
-				continue
-			}
-			n.SetLeafDeleted(i, true)
-			return true, t.unlockBump(env, st, p, n, pre)
-		}
-		// Not in this leaf; duplicates may continue right.
-		if n.HighKey() != key {
-			return false, t.unlockNoChange(st, p, pre)
-		}
-		next := n.Right()
-		if err := t.unlockNoChange(st, p, pre); err != nil {
-			return false, err
-		}
-		if next.IsNull() {
-			return false, nil
-		}
-		p = next
-	}
+	tr := t.driver(env)
+	tr.Begin(TravDelete, key, value)
+	err := t.drive(tr)
+	return tr.Found, tr.St, err
 }
 
 // Height returns the current tree height in levels (1 = a single leaf).

@@ -675,6 +675,12 @@ func TestStatsCounting(t *testing.T) {
 	if st2.Atomics != 2 || st2.PageWrites != 1 {
 		t.Fatalf("no-split insert stats: %+v", st2)
 	}
+	// The lock CAS uses the version the descent validated, so the leaf is
+	// not read again; the body write and the unlock FAA are two blocking
+	// rounds (the root pointer is cached).
+	if st2.PageReads != h || st2.WordReads != h || st2.ExposedRTTs != h+3 || st2.Restarts != 0 {
+		t.Fatalf("no-split insert on a height-%d tree: %+v; want %d page reads, %d word reads, %d exposed RTTs", h, st2, h, h, h+3)
+	}
 }
 
 func TestLookupPropertyAgainstMap(t *testing.T) {

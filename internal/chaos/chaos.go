@@ -28,6 +28,7 @@ import (
 
 	"github.com/namdb/rdmatree/internal/core"
 	"github.com/namdb/rdmatree/internal/deploy"
+	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/obs"
 	"github.com/namdb/rdmatree/internal/partition"
@@ -193,14 +194,25 @@ func (r *Report) Summary() string {
 // kv is one (key, value) pair.
 type kv struct{ k, v uint64 }
 
+// regionBytes sizes a server's region from the run: four times a half-full
+// leaf's share per key (inner levels, heads, leaked split halves, headroom),
+// one slab per server when replicated, 4 MiB at least.
+func regionBytes(cfg *Config) int {
+	keys := cfg.Preload + cfg.Clients*cfg.OpsPerClient
+	b := keys * 8 * cfg.PageBytes / layout.New(cfg.PageBytes).LeafCap / cfg.Servers
+	if cfg.Replicas >= 2 {
+		b *= cfg.Servers
+	}
+	return max(b, 4<<20) &^ 7
+}
+
 // deployDesign deploys cfg's design on a direct fabric.
 func deployDesign(cfg *Config) (*direct.Fabric, *deploy.Deployment, error) {
-	const region = 64 << 20
 	design, err := nam.ParseDesign(cfg.Design)
 	if err != nil {
 		return nil, nil, err
 	}
-	fab := direct.New(cfg.Servers, region, nam.SuperblockBytes)
+	fab := direct.New(cfg.Servers, regionBytes(cfg), nam.SuperblockBytes)
 	spec := core.BuildSpec{
 		N: cfg.Preload,
 		At: func(i int) (uint64, uint64) {

@@ -12,6 +12,7 @@ package coarse
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/namdb/rdmatree/internal/btree"
 	"github.com/namdb/rdmatree/internal/core"
@@ -59,6 +60,7 @@ type Server struct {
 	opts    Options
 	fab     rdma.Fabric
 	catalog *nam.Catalog
+	handles sync.Pool // *btree.Tree handles, recycled across handler calls
 }
 
 // NewServer wires the design's server side onto a fabric. Call Build (or
@@ -71,7 +73,7 @@ func NewServer(fab rdma.Fabric, opts Options) *Server {
 	return &Server{opts: opts, fab: fab, catalog: cat}
 }
 
-// tree returns a fresh tree handle for one server (handles are cheap and
+// tree returns a tree handle for one server (handles are cheap and
 // per-goroutine; the shared state lives in the region).
 func (s *Server) tree(server int) *btree.Tree { return s.treeFor(server, server) }
 
@@ -84,9 +86,14 @@ func (s *Server) treeFor(server, group int) *btree.Tree {
 	if group != server {
 		m = btree.ReplicaLocalMem{Srv: s.fab.Server(server), Home: group}
 	}
-	t := btree.New(s.opts.Layout, m, s.catalog.RootWords[group])
-	t.VisitNS = s.opts.VisitNS
-	t.SpinBudget = s.opts.SpinBudget
+	t, ok := s.handles.Get().(*btree.Tree)
+	if !ok {
+		t = btree.New(s.opts.Layout, nil, rdma.NullPtr)
+		t.VisitNS = s.opts.VisitNS
+		t.SpinBudget = s.opts.SpinBudget
+	}
+	t.M, t.RootWord, t.Repl = m, s.catalog.RootWords[group], nil
+	t.InvalidateRoot()
 	return t
 }
 
@@ -175,6 +182,7 @@ func (s *Server) Handler() rdma.Handler {
 			group = int(req.Group)
 		}
 		t := s.treeFor(server, group)
+		defer s.handles.Put(t) // after the response, which may alias t, is encoded
 		var capt *repl.Capture
 		if s.catalog.Replicated() {
 			// Memory servers cannot reach each other (NAM keeps them

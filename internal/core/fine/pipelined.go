@@ -59,10 +59,8 @@ func (m *traversal) record(res btree.StepResult) btree.StepResult {
 // (it implements rdma.Reconnector, e.g. faultnet), QP errors on one
 // in-flight operation are recovered without disturbing the others.
 //
-// It does not run on a replicated catalog: btree.Traversal never mirrors a
-// committed page, so inserts would ack while their pages exist on the
-// primary only, and the replica router (repl.Router) has no
-// Post/Flush/Poll, so the engine would fall back to blocking verbs.
+// It does not run on a replicated catalog: the replica router (repl.Router)
+// has no Post/Flush/Poll, so the engine would fall back to blocking verbs.
 // internal/deploy rejects the combination.
 func NewPipelinedClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart, inflight int) *PipelinedClient {
 	c := NewClient(ep, env, cat, rrStart)

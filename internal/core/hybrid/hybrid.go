@@ -16,6 +16,7 @@ package hybrid
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/namdb/rdmatree/internal/btree"
 	"github.com/namdb/rdmatree/internal/core"
@@ -66,6 +67,7 @@ type Server struct {
 	opts    Options
 	fab     rdma.Fabric
 	catalog *nam.Catalog
+	handles sync.Pool // *btree.Tree handles, recycled across handler calls
 	// load, when non-nil, holds each server's handler-CPU utilization probe
 	// ([0,1]), piggybacked on every reply (nam.Response.Load).
 	load []func() float64
@@ -106,9 +108,14 @@ func (s *Server) treeFor(server, group int) *btree.Tree {
 	if group != server {
 		m = btree.ReplicaLocalMem{Srv: s.fab.Server(server), Home: group}
 	}
-	t := btree.New(s.opts.Layout, m, s.catalog.RootWords[group])
-	t.VisitNS = s.opts.VisitNS
-	t.SpinBudget = s.opts.SpinBudget
+	t, ok := s.handles.Get().(*btree.Tree)
+	if !ok {
+		t = btree.New(s.opts.Layout, nil, rdma.NullPtr)
+		t.VisitNS = s.opts.VisitNS
+		t.SpinBudget = s.opts.SpinBudget
+	}
+	t.M, t.RootWord, t.Repl = m, s.catalog.RootWords[group], nil
+	t.InvalidateRoot()
 	return t
 }
 
@@ -234,6 +241,7 @@ func (s *Server) Handler() rdma.Handler {
 			group = int(req.Group)
 		}
 		t := s.treeFor(server, group)
+		defer s.handles.Put(t)
 		var capt *repl.Capture
 		if s.catalog.Replicated() {
 			// Servers are passive toward each other (NAM): committed inner

@@ -32,6 +32,12 @@ type RecoveryEvents interface {
 	EpochFence()
 }
 
+// Resyncer is the replication ring's hook into recovery (repl.Mirrorer):
+// Resync re-pushes the images of a failed mirror push to the backups.
+type Resyncer interface {
+	Resync() error
+}
+
 // DefaultMaxOpAttempts is how often one operation is run (first run
 // included) across epoch-fenced recoveries when the caller sets no bound.
 const DefaultMaxOpAttempts = 6
@@ -71,6 +77,7 @@ type Recovered struct {
 	MaxOpAttempts int
 	counters      RecoveryCounters
 	events        RecoveryEvents
+	mirror        Resyncer
 }
 
 var _ Index = (*Recovered)(nil)
@@ -93,6 +100,13 @@ func (r *Recovered) WithEvents(ev RecoveryEvents) *Recovered {
 	return r
 }
 
+// WithResync installs the client's replication ring, whose failed pushes
+// are re-pushed before every re-run, and returns r (chains after Recover).
+func (r *Recovered) WithResync(rs Resyncer) *Recovered {
+	r.mirror = rs
+	return r
+}
+
 // Recoverable reports whether a new epoch and a re-traversal can be expected
 // to clear err.
 //
@@ -112,8 +126,10 @@ func Recoverable(err error) bool {
 }
 
 // fence opens a new epoch: the cached descent state of the wrapped client is
-// dropped so the retry traverses from the current root.
-func (r *Recovered) fence() {
+// dropped so the retry traverses from the current root. Then the failed
+// attempt's mirror pushes are re-pushed: a re-run must not observe, and a
+// presence check must not ack, a write that lives on the primary only.
+func (r *Recovered) fence() error {
 	if inv, ok := r.idx.(RootInvalidator); ok {
 		inv.InvalidateRoot()
 	}
@@ -123,6 +139,10 @@ func (r *Recovered) fence() {
 	if r.events != nil {
 		r.events.EpochFence()
 	}
+	if r.mirror != nil {
+		return r.mirror.Resync()
+	}
+	return nil
 }
 
 // Lookup implements Index.
@@ -147,7 +167,10 @@ func (r *Recovered) Range(lo, hi uint64, emit func(k, v uint64) bool) error {
 func (r *Recovered) Insert(key, value uint64) error {
 	err := r.idx.Insert(key, value)
 	for attempt := 1; Recoverable(err) && attempt < r.MaxOpAttempts; attempt++ {
-		r.fence()
+		if ferr := r.fence(); ferr != nil {
+			err = ferr
+			continue
+		}
 		// Epoch-fenced presence check: if the interrupted attempt published
 		// (key, value), the insert committed — re-running it would create a
 		// duplicate. The check must complete before the insert may be
@@ -189,8 +212,9 @@ func (r *Recovered) Delete(key, value uint64) (bool, error) {
 func (r *Recovered) do(op func() error) error {
 	err := op()
 	for attempt := 1; Recoverable(err) && attempt < r.MaxOpAttempts; attempt++ {
-		r.fence()
-		err = op()
+		if err = r.fence(); err == nil {
+			err = op()
+		}
 	}
 	if Recoverable(err) {
 		return fmt.Errorf("core: operation unrecovered after %d attempts: %w", r.MaxOpAttempts, err)

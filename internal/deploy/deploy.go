@@ -224,8 +224,7 @@ type ClientOptions struct {
 // ErrPipelinedReplicated rejects a pipelined client on a replicated
 // deployment.
 var ErrPipelinedReplicated = errors.New("deploy: pipelined clients cannot run on a replicated deployment: " +
-	"pipelined inserts do not mirror their pages to the backups before acking, " +
-	"and repl.Router has no Post/Flush/Poll for the engine to batch on")
+	"repl.Router has no Post/Flush/Poll for the engine to batch on")
 
 // check rejects the combinations no client stack exists for.
 func (d *Deployment) check(o ClientOptions) error {
@@ -295,6 +294,9 @@ func (d *Deployment) Client(o ClientOptions) (Client, error) {
 	idx := c.(core.Index)
 	if o.Recover {
 		r := core.Recover(idx, o.MaxOpAttempts, o.Counters)
+		if mir != nil {
+			r = r.WithResync(mir)
+		}
 		if o.Log != nil {
 			r = r.WithEvents(o.Log)
 		}

@@ -54,7 +54,7 @@ var DefaultLockPairedScope = Scope{Deny: protocolPackages}
 // Join semantics are MUST-held: a lock held on only one incoming path joins
 // as held-but-not-must and is never reported. This is deliberately
 // conservative — protocol loops correlate lock state with scalar flags
-// across break joins (installSeparator's idx), and a may-analysis would
+// across break joins (a lock walk's found index), and a may-analysis would
 // flag their error returns. The price is a documented miss:
 // "if cond { unlock() }; return err" is not reported.
 //

@@ -9,10 +9,12 @@ import (
 
 	"github.com/namdb/rdmatree/internal/core"
 	"github.com/namdb/rdmatree/internal/core/fine"
+	"github.com/namdb/rdmatree/internal/deploy"
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
+	"github.com/namdb/rdmatree/internal/rdma/repl"
 	"github.com/namdb/rdmatree/internal/rdma/tcpnet"
 )
 
@@ -201,5 +203,44 @@ func TestSplitsAsStepsMatchSerial(t *testing.T) {
 				t.Errorf("in-flight 8 contents differ from serial")
 			}
 		})
+	}
+}
+
+// TestSplitsAsStepsMirror runs the split script through a pipelined fine
+// client whose tree mirrors to k=2 backups (repl.Mirrorer): the pages every
+// step publishes, the fresh split halves and grown roots, and the root word
+// all reach the backups, which end byte-identical to their primaries.
+func TestSplitsAsStepsMirror(t *testing.T) {
+	const servers = 3
+	fab := direct.New(servers, 4<<20, nam.SuperblockBytes)
+	dep, err := deploy.Build(fab, fab.Endpoint(), deploy.Options{
+		Design: nam.FineGrained, PageBytes: splitPage, Replicas: 2,
+	}, core.BuildSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := dep.Catalog.Layout()
+	pc := fine.NewPipelinedClient(fab.Endpoint(), rdma.NopEnv{}, dep.Catalog, 0, 8)
+	pc.Tree().Repl = repl.NewMirrorer(repl.NewRouter(fab.Endpoint(), lay, nil, nil), rdma.NopEnv{}, nil)
+	for _, op := range splitScript() {
+		op := op
+		pc.Insert(op[0], op[1], func(err error) {
+			if err != nil {
+				t.Errorf("pipelined insert %v: %v", op, err)
+			}
+		})
+	}
+	pc.Drain()
+	c := splitCluster{fab.Endpoint(), dep.Catalog}
+	if _, height := c.pages(t); height < 4 {
+		t.Fatalf("script grew the tree to height %d; want >= 4 (inner splits and repeated root growth)", height)
+	}
+	c.contents(t)
+	for h := 0; h < servers; h++ {
+		for _, m := range lay.Groups.Members(h)[1:] {
+			if d := repl.DiffExtent(lay, h, fab.Server(h), fab.Server(m), fab.Server); d != 0 {
+				t.Errorf("group %d: backup %d differs from the primary in %d words", h, m, d)
+			}
+		}
 	}
 }

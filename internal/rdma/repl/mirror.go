@@ -43,7 +43,9 @@ const mirrorLockBudget = 64
 // A backup that reports ErrServerLost is marked dead in the client's view
 // and skipped from then on (degraded ack: writes stay available when a
 // backup dies; losing the remaining copies afterwards is a genuine k-fault
-// loss). Any other error aborts the surrounding operation un-acked.
+// loss). Any other error aborts the surrounding operation un-acked, with its
+// write committed on the primary: the images of the failed push are kept,
+// and Resync re-pushes them before operation recovery may ack the write.
 //
 // Like the Tree that calls it, a Mirrorer is owned by one client goroutine.
 type Mirrorer struct {
@@ -60,6 +62,14 @@ type Mirrorer struct {
 	w0buf, epbuf [1]uint64
 	mptrs        [2]rdma.RemotePtr
 	mdst         [2][]uint64
+
+	// pending: the last failed push's unpushed images, with commit epochs.
+	pending []pendingPush
+}
+
+type pendingPush struct {
+	nam.DirtyPage
+	epoch uint64
 }
 
 // NewMirrorer builds the mirror half of a client's replication stack,
@@ -110,11 +120,37 @@ func (m *Mirrorer) groupMoved(home int, observed uint64) error {
 
 // MirrorPage implements btree.Replicator.
 func (m *Mirrorer) MirrorPage(p rdma.RemotePtr, img []uint64) error {
-	home := p.Server()
-	e := m.view.Epoch(home)
-	vI := layout.BufVersion(img)
+	return m.mirror(nam.DirtyPage{Kind: nam.DirtyFull, Ptr: p, Words: img})
+}
+
+// mirror pushes one image the tree just committed; on failure it becomes
+// the pending push, copied, since img is the tree's scratch.
+func (m *Mirrorer) mirror(d nam.DirtyPage) error {
+	e := m.view.Epoch(d.Ptr.Server())
+	err := m.push(d, e)
+	m.pending = m.pending[:0]
+	if err != nil {
+		d.Words = append([]uint64(nil), d.Words...)
+		m.pending = append(m.pending, pendingPush{d, e})
+	}
+	return err
+}
+
+// push mirrors image d, committed under group epoch e, to the group's live
+// backups. Fresh pages and root words are written blind behind the epoch
+// guard (see MirrorFresh and MirrorWord).
+func (m *Mirrorer) push(d nam.DirtyPage, e uint64) error {
+	home := d.Ptr.Server()
 	return m.targets(home, func(b int) error {
-		return m.pushVersioned(home, b, p.Offset(), img, vI, e)
+		if d.Kind == nam.DirtyFull {
+			return m.pushVersioned(home, b, d.Ptr.Offset(), d.Words, layout.BufVersion(d.Words), e)
+		}
+		if err := m.epochGuard(home, b, e); err != nil {
+			return err
+		}
+		return m.pol.Do(m.rec, b, func() error {
+			return m.ep.Write(rdma.MakePtr(b, d.Ptr.Offset()), d.Words)
+		})
 	})
 }
 
@@ -219,16 +255,7 @@ func (m *Mirrorer) epochGuard(home, b int, e uint64) error {
 // push — so a stale fresh write after a promotion leaves unreachable bytes,
 // never a reachable stale page).
 func (m *Mirrorer) MirrorFresh(p rdma.RemotePtr, img []uint64) error {
-	home := p.Server()
-	e := m.view.Epoch(home)
-	return m.targets(home, func(b int) error {
-		if err := m.epochGuard(home, b, e); err != nil {
-			return err
-		}
-		return m.pol.Do(m.rec, b, func() error {
-			return m.ep.Write(rdma.MakePtr(b, p.Offset()), img)
-		})
-	})
+	return m.mirror(nam.DirtyPage{Kind: nam.DirtyFresh, Ptr: p, Words: img})
 }
 
 // MirrorWord implements btree.Replicator: a blind single-word write (root
@@ -236,37 +263,39 @@ func (m *Mirrorer) MirrorFresh(p rdma.RemotePtr, img []uint64) error {
 // descents recover through right links — so no versioning is needed, only
 // the epoch guard against writing into a promoted group.
 func (m *Mirrorer) MirrorWord(p rdma.RemotePtr, val uint64) error {
-	home := p.Server()
-	e := m.view.Epoch(home)
 	m.w0buf[0] = val
-	return m.targets(home, func(b int) error {
-		if err := m.epochGuard(home, b, e); err != nil {
-			return err
-		}
-		return m.pol.Do(m.rec, b, func() error {
-			return m.ep.Write(rdma.MakePtr(b, p.Offset()), m.w0buf[:])
-		})
-	})
+	return m.mirror(nam.DirtyPage{Kind: nam.DirtyWord, Ptr: p, Words: m.w0buf[:]})
 }
 
 // Push replays a batch of server-captured post-images (the Dirty trailer of
 // an RPC response) through the mirror protocol — the client-assisted
-// replication path of the RPC designs.
+// replication path of the RPC designs. The images were committed under the
+// client's current view of their groups' epochs.
 func (m *Mirrorer) Push(dirty []nam.DirtyPage) error {
+	m.pending = m.pending[:0]
 	for _, d := range dirty {
-		var err error
-		switch d.Kind {
-		case nam.DirtyFresh:
-			err = m.MirrorFresh(d.Ptr, d.Words)
-		case nam.DirtyWord:
-			err = m.MirrorWord(d.Ptr, d.Words[0])
-		default:
-			err = m.MirrorPage(d.Ptr, d.Words)
-		}
-		if err != nil {
+		m.pending = append(m.pending, pendingPush{d, m.view.Epoch(d.Ptr.Server())})
+	}
+	return m.flush(false)
+}
+
+// Resync re-pushes the images of the last failed push, in order, each under
+// the epoch it was committed in. Operation recovery calls it before a
+// presence check may ack a write the failed attempt committed on the
+// primary. An image whose group has moved since is dropped: the promoted
+// member's history does not contain it, and the presence check, routed to
+// that member, decides the write's fate.
+func (m *Mirrorer) Resync() error { return m.flush(true) }
+
+func (m *Mirrorer) flush(dropMoved bool) error {
+	for i := range m.pending {
+		err := m.push(m.pending[i].DirtyPage, m.pending[i].epoch)
+		if err != nil && !(dropMoved && errors.Is(err, rdma.ErrGroupMoved)) {
+			m.pending = append(m.pending[:0], m.pending[i:]...)
 			return err
 		}
 	}
+	m.pending = m.pending[:0]
 	return nil
 }
 

@@ -218,6 +218,35 @@ func TestListing2VerbSequence(t *testing.T) {
 		t.Fatalf("exposed RTTs = %d, want %d", r, h)
 	}
 
+	// A no-split insert under the same key: the same fused read per level,
+	// then one lock CAS on the version the descent validated (the leaf is not
+	// re-read), the body WRITE and the unlock-and-bump FAA — nothing else.
+	fresh = telemetry.NewRecorder(1)
+	ep.Rec = fresh
+	c.SetRecorder(fresh)
+	if err := c.Insert(key, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	for v := telemetry.Verb(0); v < telemetry.NumVerbs; v++ {
+		want := int64(0)
+		switch v {
+		case telemetry.VerbReadMulti:
+			want = int64(h)
+		case telemetry.VerbCAS, telemetry.VerbWrite, telemetry.VerbFetchAdd:
+			want = 1
+		}
+		if got := fresh.VerbOps(v); got != want {
+			t.Fatalf("no-split insert issued %d %v verbs, want %d", got, v, want)
+		}
+	}
+	idx = fresh.StatsMap()["index"].(map[string]any)
+	if r := idx["page_reads"].(int64); r != int64(h) {
+		t.Fatalf("insert page reads = %d, want %d", r, h)
+	}
+	if s := idx["splits"].(int64); s != 0 {
+		t.Fatalf("insert split %d pages; pick a key whose leaf has room", s)
+	}
+
 	// The unbatched baseline client still runs the paper's original verb
 	// sequence: two plain READs per level, no batches.
 	fab2, cat2 := buildFineDirect(t, 1, n, page)
