@@ -67,22 +67,23 @@ func main() {
 		log.Fatalf("namclient: %v", err)
 	}
 
-	// Client-side robustness counters: every serial client runs under the
-	// shared retry policy and operation-level recovery, so retries, QP
-	// reconnects, and epoch-fenced re-traversals are counted here (servers
-	// only see the verbs that reached them).
+	// Client-side robustness counters: every client runs under the shared
+	// retry policy, and serial ones under operation-level recovery too, so
+	// retries, QP reconnects, and epoch-fenced re-traversals are counted
+	// here (servers only see the verbs that reached them).
 	clientRec := telemetry.NewRecorder(len(addrs))
 	retryPolicy := func(id int) *retry.Policy {
 		return &retry.Policy{Seed: int64(id), Sleep: time.Sleep, Counters: clientRec}
 	}
 	// client dials its own connection and builds the client stack over it:
 	// serial under the retry and recovery rings, or pipelined with inflight
-	// operations in flight (the engine retries and recovers itself).
+	// operations in flight under the retry ring (the engine re-runs failed
+	// operations itself).
 	client := func(id, inflight int) (deploy.Client, *tcpnet.Endpoint) {
 		ep := tcpnet.Dial(addrs)
-		o := deploy.ClientOptions{ID: id, Ep: ep, Env: rdma.NopEnv{}, Inflight: inflight}
+		o := deploy.ClientOptions{ID: id, Ep: ep, Env: rdma.NopEnv{}, Inflight: inflight, Retry: retryPolicy(id)}
 		if inflight == 0 {
-			o.Retry, o.Recover, o.Counters = retryPolicy(id), true, clientRec
+			o.Recover, o.Counters = true, clientRec
 		}
 		cl, err := dep.Client(o)
 		check(err)

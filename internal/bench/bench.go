@@ -382,13 +382,20 @@ func Run(cfg Config) (Result, error) {
 				return
 			}
 			if pc := cl.Pipelined; pc != nil {
-				// Async dataplane: keep the submission window full; latency
-				// spans submission to completion, so queueing behind a full
-				// window is charged to the operation (the closed-loop view).
+				// Async dataplane: keep the submission window full. A point
+				// operation's latency spans admission to completion: waiting
+				// for a slot is the previous operation's service time, and
+				// charging it again would count every slot's latency twice
+				// (by Little's law, mean latency would read inflight+1 ops
+				// per client over throughput). A range drains the window
+				// first, and that wait is its own.
 				stop := false
 				for !stop {
 					op := gen.Next()
 					kind := op.Kind
+					if kind != workload.RangeQuery {
+						pc.Admit()
+					}
 					start := p.Now()
 					switch kind {
 					case workload.PointQuery:

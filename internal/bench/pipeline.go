@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/stats"
@@ -24,6 +25,11 @@ const MinPipelineSpeedup = 3.0
 
 // PipelineGateDepth is the in-flight depth the speedup floor is measured at.
 const PipelineGateDepth = 16
+
+// MaxLatencyRatioAt1 bounds what the engine costs an operation: at one
+// operation in flight, point-lookup mean latency may exceed the serial fused
+// client's by at most this factor. Checked with the speedup floor.
+const MaxLatencyRatioAt1 = 1.05
 
 // pipelineInflights is the sweep of in-flight depths per workload panel.
 var pipelineInflights = []int{1, 2, 4, 8, 16, 32}
@@ -75,6 +81,24 @@ type PipelineReport struct {
 	// over the serial fused client — the metric under the MinPipelineSpeedup
 	// floor.
 	GateSpeedup float64 `json:"gate_point_speedup_at_16"`
+	// GateLatencyRatio is point-lookup mean latency at one operation in
+	// flight over the serial fused client's — the metric under the
+	// MaxLatencyRatioAt1 ceiling.
+	GateLatencyRatio float64 `json:"gate_point_latency_ratio_at_1"`
+}
+
+// gateFailures checks rep against the speedup floor and the latency ceiling.
+func (rep PipelineReport) gateFailures() []string {
+	var out []string
+	if rep.GateSpeedup < MinPipelineSpeedup {
+		out = append(out, fmt.Sprintf("point-lookup speedup %.2fx at %d in flight is below the %.1fx floor",
+			rep.GateSpeedup, PipelineGateDepth, MinPipelineSpeedup))
+	}
+	if rep.GateLatencyRatio > MaxLatencyRatioAt1 {
+		out = append(out, fmt.Sprintf("point-lookup mean latency at 1 in flight is %.3fx the serial client's, above the %.2fx ceiling",
+			rep.GateLatencyRatio, MaxLatencyRatioAt1))
+	}
+	return out
 }
 
 // pipelinePanels enumerates workloads A-D. B runs range queries (which the
@@ -112,7 +136,8 @@ func runPipelinePoint(sc Scale, clients, dataSize int, p wlPanel, inflight int) 
 		P50LatencyNS:     res.Latency.Percentile(50),
 		P99LatencyNS:     res.Latency.Percentile(99),
 	}
-	if rec := res.Telemetry; rec != nil {
+	if rec := res.Telemetry; rec != nil && inflight > 0 {
+		// The serial client's only doorbells are its publish pairs.
 		pt.OpsInFlightAvg = rec.AvgInflight()
 		pt.DoorbellCoalescing = rec.CoalescingRatio()
 	}
@@ -153,6 +178,9 @@ func runPipelineAt(sc Scale, clients, dataSize int) (PipelineReport, error) {
 			if panel.mix == workload.WorkloadA && inflight == PipelineGateDepth {
 				rep.GateSpeedup = pt.Speedup
 			}
+			if panel.mix == workload.WorkloadA && inflight == 1 && serial.MeanLatencyNS > 0 {
+				rep.GateLatencyRatio = pt.MeanLatencyNS / serial.MeanLatencyNS
+			}
 		}
 		rep.Panels = append(rep.Panels, pp)
 	}
@@ -189,9 +217,10 @@ func expPipeline(w io.Writer, sc Scale) error {
 	}
 	fmt.Fprintf(w, "point-lookup speedup at %d in flight: %.2fx (floor %.1fx)\n",
 		PipelineGateDepth, rep.GateSpeedup, MinPipelineSpeedup)
-	if rep.GateSpeedup < MinPipelineSpeedup {
-		return fmt.Errorf("pipeline: point-lookup speedup %.2fx at %d in flight is below the %.1fx floor",
-			rep.GateSpeedup, PipelineGateDepth, MinPipelineSpeedup)
+	fmt.Fprintf(w, "point-lookup mean latency at 1 in flight: %.3fx serial (ceiling %.2fx)\n",
+		rep.GateLatencyRatio, MaxLatencyRatioAt1)
+	if f := rep.gateFailures(); len(f) > 0 {
+		return fmt.Errorf("pipeline: %s", strings.Join(f, "; "))
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -289,10 +318,9 @@ func RegressPipeline(w io.Writer, baselinePath string) error {
 	}
 	fmt.Fprintf(w, "  %-58s floor    %14.2f  measured %14.2f\n",
 		fmt.Sprintf("point speedup at %d in flight", PipelineGateDepth), MinPipelineSpeedup, got.GateSpeedup)
-	if got.GateSpeedup < MinPipelineSpeedup {
-		failures = append(failures, fmt.Sprintf("point speedup at %d in flight: %.2fx, floor %.1fx",
-			PipelineGateDepth, got.GateSpeedup, MinPipelineSpeedup))
-	}
+	fmt.Fprintf(w, "  %-58s ceiling  %14.2f  measured %14.3f\n",
+		"point latency at 1 in flight / serial", MaxLatencyRatioAt1, got.GateLatencyRatio)
+	failures = append(failures, got.gateFailures()...)
 	if len(failures) > 0 {
 		msg := fmt.Sprintf("regress: %d pipeline metrics failed over %s:", len(failures), baselinePath)
 		for _, f := range failures {

@@ -6,13 +6,17 @@ import "github.com/namdb/rdmatree/internal/rdma"
 // handle's own Traversal to completion. It queues one step's verbs (at most
 // two) and run executes them in posting order through the tree's Mem (so
 // Mem decorators see the same calls): a page READ plus the version-word
-// READ of the same page as one Mem.ReadValidated, the root word as
-// Mem.LoadWord. Like an RC queue pair flushing the work requests behind an
-// error, run fails the rest of a step after its first failed verb.
+// READ of the same page as one Mem.ReadValidated, a page's body WRITE plus
+// its unlock FAA as one Mem.WriteUnlock, the root word as Mem.LoadWord.
+// Like an RC queue pair flushing the work requests behind an error, run
+// fails the rest of a step after its first failed verb.
 type memSink struct {
 	n     int
 	verbs [2]postedVerb
 	comps [2]rdma.Completion
+	// extra is the exposed round trips the last run cost beyond the one a
+	// step is counted as: 1 when a publish pair ran as two blocking verbs.
+	extra int
 }
 
 type postedVerb struct {
@@ -49,12 +53,19 @@ func (s *memSink) PostFetchAdd(p rdma.RemotePtr, delta uint64) {
 // run executes the queued step through m and returns its completions.
 func (s *memSink) run(m Mem) []rdma.Completion {
 	comps := s.comps[:s.n]
-	s.n = 0
+	s.n, s.extra = 0, 0
 	if v := &s.verbs; len(comps) == 2 && v[0].kind == verbRead && v[1].kind == verbRead && v[0].p == v[1].p {
 		var err error
 		v[1].buf[0], _, err = m.ReadValidated(v[0].p, v[0].buf) //rdmavet:allow layoutwords -- the one-word version-sample buffer, not a page
 		comps[0] = rdma.Completion{Err: err}
 		comps[1] = comps[0]
+		return comps
+	}
+	if v := &s.verbs; len(comps) == 2 && v[0].kind == verbWrite && v[1].kind == verbFetchAdd && v[0].p == v[1].p.Add(8) {
+		pub := m.WriteUnlock(v[1].p, v[0].buf)
+		comps[0] = rdma.Completion{Err: pub.WriteErr}
+		comps[1] = rdma.Completion{Val: pub.Prior, Err: pub.UnlockErr}
+		s.extra = pub.Rounds - 1
 		return comps
 	}
 	var err error
@@ -97,7 +108,9 @@ func (t *Tree) drive(tr *Traversal) error {
 		if tr.TakePause() {
 			tr.env.Pause()
 		}
-		res = tr.Step(t.sink.run(t.M), &t.sink)
+		comps := t.sink.run(t.M)
+		tr.St.ExposedRTTs += t.sink.extra
+		res = tr.Step(comps, &t.sink)
 	}
 	return res.Err
 }

@@ -109,7 +109,7 @@ func (t *Tree) LeafInsertAt(env rdma.Env, leafPtr rdma.RemotePtr, key layout.Key
 	if err := t.drive(tr); err != nil || !tr.owesInstall {
 		return nil, tr.St, err
 	}
-	return &Split{Sep: tr.sep, Left: tr.left, Right: tr.right}, tr.St, nil
+	return &Split{Sep: tr.owed.sep, Left: tr.owed.left, Right: tr.owed.right}, tr.St, nil
 }
 
 // LeafDeleteAt marks the first live (key, value) entry deleted, starting

@@ -47,6 +47,14 @@ type Mem interface {
 	ReadValidated(p rdma.RemotePtr, dst []uint64) (version uint64, ok bool, err error)
 	// WriteWords copies src to p.
 	WriteWords(p rdma.RemotePtr, src []uint64) error
+	// WriteUnlock publishes a page the caller holds locked: it writes body
+	// to the words after the version word at p and then fetch-adds 1 to the
+	// version word, which releases the lock and bumps the version, in that
+	// order (Listing 3's write-back). It is the write twin of
+	// ReadValidated: on RC both verbs are posted to the page's QP in one
+	// doorbell, and in-order execution runs the FAA only after the body
+	// landed. The outcome carries one result per verb.
+	WriteUnlock(p rdma.RemotePtr, body []uint64) Publish
 	// LoadWord reads the single word at p.
 	LoadWord(p rdma.RemotePtr) (uint64, error)
 	// CAS compares-and-swaps the word at p, returning the prior value.
@@ -68,6 +76,26 @@ type Mem interface {
 	// versions[i] corresponds to ps[i]; a prefetched copy is consistent
 	// iff versions[i] == dst[i][0] and the version is unlocked.
 	ReadPages(ps []rdma.RemotePtr, dst [][]uint64, versions []uint64) error
+}
+
+// Publish is the outcome of Mem.WriteUnlock, one result per verb. Under the
+// never-executed fault model (DESIGN.md §9) a failed verb did not run, so
+// the four combinations say exactly what reached the page.
+type Publish struct {
+	// Prior is the version word before the FAA; valid when UnlockErr is nil.
+	Prior uint64
+	// WriteErr and UnlockErr are the body WRITE's and the FAA's outcomes.
+	WriteErr, UnlockErr error
+	// Rounds is the number of exposed round trips the pair cost: 1 when it
+	// shared a doorbell (or ran locally), 2 when it ran as two blocking
+	// verbs, 1 again when the FAA was flushed behind a failed WRITE.
+	Rounds int
+}
+
+// localPublish is WriteUnlock on a server's own region.
+func localPublish(r *rdma.Region, off uint64, body []uint64) Publish {
+	r.Write(off+8, body)
+	return Publish{Prior: r.FetchAdd(off, 1), Rounds: 1}
 }
 
 // validated reports the (version, ok) pair for a page copy whose version
@@ -114,6 +142,11 @@ func (m LocalMem) ReadValidated(p rdma.RemotePtr, dst []uint64) (uint64, bool, e
 func (m LocalMem) WriteWords(p rdma.RemotePtr, src []uint64) error {
 	m.Srv.Region.Write(m.check(p), src)
 	return nil
+}
+
+// WriteUnlock implements Mem.
+func (m LocalMem) WriteUnlock(p rdma.RemotePtr, body []uint64) Publish {
+	return localPublish(m.Srv.Region, m.check(p), body)
 }
 
 // LoadWord implements Mem.
@@ -195,9 +228,17 @@ type EndpointMem struct {
 	// the fused single-round-trip protocol.
 	Unbatched bool
 
+	// Borrowed marks Ep's post/poll surface as a pipelined engine's, which
+	// may hold other operations' unflushed posts while this Mem runs
+	// blocking verbs for one of them. WriteUnlock then runs its pair as two
+	// blocking verbs, which the rdma.AsyncEndpoint contract allows next to
+	// those posts; posting and polling its own would reap theirs.
+	Borrowed bool
+
 	vbuf      [1]uint64
 	batchPtrs []rdma.RemotePtr
 	batchDst  [][]uint64
+	comps     []rdma.Completion
 }
 
 var _ Mem = (*EndpointMem)(nil)
@@ -240,6 +281,27 @@ func (m *EndpointMem) ReadValidated(p rdma.RemotePtr, dst []uint64) (uint64, boo
 // WriteWords implements Mem.
 func (m *EndpointMem) WriteWords(p rdma.RemotePtr, src []uint64) error {
 	return m.Ep.Write(p, src)
+}
+
+// WriteUnlock implements Mem. When Ep has a native post/poll surface the
+// body WRITE and the unlock FAA share one doorbell and one exposed round
+// trip, each with its own completion. Otherwise — and in the Unbatched
+// baseline, and on a Borrowed surface — they run as two blocking verbs, and
+// a failed WRITE flushes the FAA behind it unexecuted, as an RC QP in the
+// error state would.
+func (m *EndpointMem) WriteUnlock(p rdma.RemotePtr, body []uint64) Publish {
+	if a, ok := m.Ep.(rdma.AsyncEndpoint); ok && !m.Unbatched && !m.Borrowed {
+		a.PostWrite(p.Add(8), body)
+		a.PostFetchAdd(p, 1)
+		a.Flush()
+		m.comps = a.Poll(m.comps[:0])
+		return Publish{Prior: m.comps[1].Val, WriteErr: m.comps[0].Err, UnlockErr: m.comps[1].Err, Rounds: 1}
+	}
+	if err := m.Ep.Write(p.Add(8), body); err != nil {
+		return Publish{WriteErr: err, UnlockErr: err, Rounds: 1}
+	}
+	prior, err := m.Ep.FetchAdd(p, 1)
+	return Publish{Prior: prior, UnlockErr: err, Rounds: 2}
 }
 
 // LoadWord implements Mem.
@@ -342,6 +404,11 @@ func (m ReplicaLocalMem) ReadValidated(p rdma.RemotePtr, dst []uint64) (uint64, 
 func (m ReplicaLocalMem) WriteWords(p rdma.RemotePtr, src []uint64) error {
 	m.Srv.Region.Write(m.check(p), src)
 	return nil
+}
+
+// WriteUnlock implements Mem.
+func (m ReplicaLocalMem) WriteUnlock(p rdma.RemotePtr, body []uint64) Publish {
+	return localPublish(m.Srv.Region, m.check(p), body)
 }
 
 // LoadWord implements Mem.

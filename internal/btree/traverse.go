@@ -33,14 +33,17 @@ import (
 // posting order, so the FAA — which publishes the new version and releases
 // the lock — runs only after the body landed, and a reader that validates
 // against the bumped version has copied the new body. The blocking driver
-// still runs the pair as two verbs (two rounds) until the blocking endpoint
-// stack can post. The two completions are handled per verb under the
-// never-executed fault model (DESIGN.md §9): a WRITE that ran with a failed
-// FAA has published the body, so the FAA is driven to completion alone; a
-// pair that both failed never ran and is reposted; a failed WRITE whose FAA
-// ran (possible only under per-completion fault injection, never on real RC)
-// left the page unchanged at a new version and unlocked, so the step fails
-// into the owner's operation-level re-run.
+// runs the pair as one Mem.WriteUnlock, which shares a doorbell too when the
+// endpoint stack can post (the Unbatched baseline and the replica router
+// cannot, and run it as two rounds). The two completions are handled per
+// verb under the never-executed fault model (DESIGN.md §9): a WRITE that ran
+// with a failed FAA has published the body, so the FAA is driven to
+// completion alone; a pair that both failed never ran and is reposted (the
+// blocking driver releases the lock and fails instead, its verbs having
+// already spent the endpoint stack's retries); a failed WRITE whose FAA ran
+// (possible only under per-completion fault injection, never on real RC)
+// left the page unchanged at a new version and unlocked, so the traversal
+// redoes the step from a fresh read of the page (an install from the root).
 //
 // Structural changes are steps too. An insert into a full leaf locks it like
 // any other leaf, allocates the right half through the tree's Mem (the one
@@ -66,6 +69,14 @@ type PostSink interface {
 	PostWrite(p rdma.RemotePtr, src []uint64)
 	PostCAS(p rdma.RemotePtr, old, new uint64)
 	PostFetchAdd(p rdma.RemotePtr, delta uint64)
+}
+
+// install is one separator install: sep bounds the split node left, and
+// the new node right is reached through it from level.
+type install struct {
+	level       int
+	sep         layout.Key
+	left, right rdma.RemotePtr
 }
 
 // TraversalOp selects the operation a Traversal performs.
@@ -165,10 +176,13 @@ type Traversal struct {
 	next      rdma.RemotePtr
 
 	// Split and separator-install state. fresh is the unpublished page in
-	// freshBuf. A split sets level/sep/left/right to the install it owes
-	// (owesInstall) once its left half is published.
+	// freshBuf. level/sep/left/right are the install in progress. A split
+	// records the install it owes in owed (owesInstall) until its left half
+	// is published, so a publish that has to be redone finds the install in
+	// progress intact.
 	fresh       rdma.RemotePtr
 	owesInstall bool
+	owed        install
 	level       int            // install target level
 	sep         layout.Key     // separator being installed
 	left        rdma.RemotePtr // split node the separator bounds
@@ -225,7 +239,7 @@ func (tr *Traversal) Begin(op TraversalOp, key layout.Key, value uint64) {
 
 // beginLeaf arms the leaf half of an operation (the hybrid design's): it
 // starts on the leaf chain at leaf, and a split leaf's separator install is
-// left owed (owesInstall, with sep/left/right) instead of run.
+// left owed (owesInstall, owed) instead of run.
 func (tr *Traversal) beginLeaf(op TraversalOp, leaf rdma.RemotePtr, key layout.Key, value uint64) {
 	tr.Begin(op, key, value)
 	tr.leafHalf = true
@@ -659,8 +673,7 @@ func (tr *Traversal) freshPage() []uint64 {
 // needs once p is published.
 func (tr *Traversal) owe(level int, sep layout.Key) {
 	tr.owesInstall = true
-	tr.level, tr.sep = level, sep
-	tr.left, tr.right = tr.p, tr.fresh
+	tr.owed = install{level: level, sep: sep, left: tr.p, right: tr.fresh}
 }
 
 // handleFresh completes the WRITE of an unpublished page: a split's right
@@ -687,7 +700,9 @@ func (tr *Traversal) handleFresh(c rdma.Completion, sink PostSink) StepResult {
 }
 
 // handlePublish consumes the fused body WRITE + unlock FAA pair, one
-// completion per verb (see the file comment for the four outcomes).
+// completion per verb (see the file comment for the four outcomes). The pair
+// counts as the one round it costs when it shares a doorbell; the blocking
+// driver adds the second round of a Mem that ran it as two verbs.
 func (tr *Traversal) handlePublish(w, f rdma.Completion, sink PostSink) StepResult {
 	if w.Err == nil {
 		tr.St.PageWrites++
@@ -695,9 +710,6 @@ func (tr *Traversal) handlePublish(w, f rdma.Completion, sink PostSink) StepResu
 		tr.holding = false
 		if f.Err == nil {
 			tr.St.Atomics++
-			if tr.blocking {
-				tr.St.ExposedRTTs++ // the driver ran the pair as two rounds
-			}
 			return tr.published(sink)
 		}
 		// The body is published: the version must move forward, so the FAA
@@ -708,12 +720,24 @@ func (tr *Traversal) handlePublish(w, f rdma.Completion, sink PostSink) StepResu
 	}
 	if f.Err == nil {
 		// Only per-completion fault injection splits an RC pair this way:
-		// the FAA unlocked the page, unchanged, at a new version. The
-		// operation did not happen; the owner's re-run redoes it.
+		// the FAA unlocked the page, unchanged, at a new version. The step
+		// is redone from a fresh copy of the page — re-read, re-lock,
+		// re-apply — and a separator install from the root. Failing the
+		// operation instead would abandon an install its split already
+		// committed, and every later split of the orphaned node would wait
+		// for that install until its spin budget ran out. A split's
+		// unpublished right half leaks to the GC.
 		tr.St.Atomics++
 		tr.St.ExposedRTTs++
 		tr.holding = false
-		return tr.fail(fmt.Errorf("btree: body write to %v failed after its unlock ran (page unchanged): %w", tr.p, w.Err))
+		tr.owesInstall, tr.Found = false, false
+		if tr.restart() {
+			return tr.fail(fmt.Errorf("btree: %d restarts publishing %v: %w", tr.St.Restarts, tr.p, ErrSpinBudget))
+		}
+		if tr.mode == modeSepChase {
+			return tr.sepRescan(sink)
+		}
+		return tr.post(phPage, sink)
 	}
 	// Neither verb ran: the lock is held and the page unchanged. Classify
 	// the pair by its more severe failure (a QP error blocks, a permanent
@@ -766,7 +790,8 @@ func (tr *Traversal) published(sink PostSink) StepResult {
 		return tr.done()
 	}
 	tr.owesInstall = false
-	tr.routeKey = tr.sep
+	o := &tr.owed
+	tr.level, tr.sep, tr.left, tr.right, tr.routeKey = o.level, o.sep, o.left, o.right, o.sep
 	return tr.sepRescan(sink)
 }
 

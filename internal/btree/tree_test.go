@@ -10,6 +10,7 @@ import (
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
+	"github.com/namdb/rdmatree/internal/rdma/retry"
 )
 
 const testRegion = 64 << 20
@@ -642,8 +643,39 @@ func TestConcurrentInsertDeleteSameKeys(t *testing.T) {
 	}
 }
 
+// blockingOnly hides an endpoint's post/poll surface, as the replica router
+// (repl.Router) has none.
+type blockingOnly struct{ rdma.Endpoint }
+
 func TestStatsCounting(t *testing.T) {
-	tr, _ := newRemoteTree(t, 512, 4)
+	for _, c := range []struct {
+		name   string
+		mem    func(ep rdma.Endpoint) *EndpointMem
+		rounds int // exposed round trips of the publish pair
+	}{
+		{"posting", func(ep rdma.Endpoint) *EndpointMem { return &EndpointMem{Ep: ep} }, 1},
+		{"retry-posting", func(ep rdma.Endpoint) *EndpointMem {
+			return &EndpointMem{Ep: retry.Wrap(ep, &retry.Policy{})}
+		}, 1},
+		{"legacy", func(ep rdma.Endpoint) *EndpointMem { return &EndpointMem{Ep: ep, Unbatched: true} }, 2},
+		{"blocking-only", func(ep rdma.Endpoint) *EndpointMem {
+			return &EndpointMem{Ep: retry.Wrap(blockingOnly{ep}, &retry.Policy{})}
+		}, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := direct.New(4, testRegion, 64)
+			m := c.mem(f.Endpoint())
+			m.Place = RoundRobin(4, 0)
+			tr := New(layout.New(512), m, rdma.MakePtr(0, 0))
+			if err := tr.Init(env); err != nil {
+				t.Fatal(err)
+			}
+			statsCounting(t, tr, c.rounds)
+		})
+	}
+}
+
+func statsCounting(t *testing.T, tr *Tree, publishRounds int) {
 	const n = 20000
 	if _, err := tr.Build(env, BuildConfig{}, n,
 		func(i int) (uint64, uint64) { return uint64(i), uint64(i) }); err != nil {
@@ -664,10 +696,7 @@ func TestStatsCounting(t *testing.T) {
 	if st.PageWrites != 0 || st.Atomics != 0 {
 		t.Fatalf("read-only op wrote: %+v", st)
 	}
-	st2, err2 := func() (Stats, error) {
-		s, e := tr.Insert(env, uint64(n/2), 1)
-		return s, e
-	}()
+	st2, err2 := tr.Insert(env, uint64(n/2), 1)
 	if err2 != nil {
 		t.Fatal(err2)
 	}
@@ -676,10 +705,12 @@ func TestStatsCounting(t *testing.T) {
 		t.Fatalf("no-split insert stats: %+v", st2)
 	}
 	// The lock CAS uses the version the descent validated, so the leaf is
-	// not read again; the body write and the unlock FAA are two blocking
-	// rounds (the root pointer is cached).
-	if st2.PageReads != h || st2.WordReads != h || st2.ExposedRTTs != h+3 || st2.Restarts != 0 {
-		t.Fatalf("no-split insert on a height-%d tree: %+v; want %d page reads, %d word reads, %d exposed RTTs", h, st2, h, h, h+3)
+	// not read again; the body write and the unlock FAA share one round on a
+	// stack that can post, and are two where it cannot (the root pointer is
+	// cached).
+	want := h + 1 + publishRounds
+	if st2.PageReads != h || st2.WordReads != h || st2.ExposedRTTs != want || st2.Restarts != 0 {
+		t.Fatalf("no-split insert on a height-%d tree: %+v; want %d page reads, %d word reads, %d exposed RTTs", h, st2, h, h, want)
 	}
 }
 
@@ -763,5 +794,78 @@ func BenchmarkLocalLookup(b *testing.B) {
 		if _, _, err := tr.Lookup(env, uint64(i%n)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// splitPublish is a Mem whose fail-th WriteUnlock runs only the unlock FAA
+// and reports the WRITE failed, the pair outcome per-completion fault
+// injection can produce; calls counts every WriteUnlock.
+type splitPublish struct {
+	Mem
+	calls, fail int
+}
+
+func (m *splitPublish) WriteUnlock(p rdma.RemotePtr, body []uint64) Publish {
+	m.calls++
+	if m.calls != m.fail {
+		return m.Mem.WriteUnlock(p, body)
+	}
+	prior, err := m.Mem.FetchAdd(p, 1)
+	return Publish{Prior: prior, WriteErr: rdma.ErrTimeout, UnlockErr: err, Rounds: 1}
+}
+
+// TestPublishRedoneAfterFailedWrite pins the WRITE-failed, FAA-ran publish
+// outcome on a separator install: the traversal redoes the install rather
+// than failing an insert whose leaf split already committed, so the new
+// leaf gets its parent pair and a lookup reaches it without a right-move.
+func TestPublishRedoneAfterFailedWrite(t *testing.T) {
+	newTree := func(fail int) (*Tree, *splitPublish) {
+		f := direct.New(1, testRegion, 64)
+		m := &splitPublish{Mem: LocalMem{Srv: f.Server(0)}, fail: fail}
+		tr := New(layout.New(256), m, rdma.MakePtr(0, 0))
+		if err := tr.Init(env); err != nil {
+			t.Fatal(err)
+		}
+		return tr, m
+	}
+	// Dry run: the first insert that publishes twice split a leaf under an
+	// inner root and cut its separator into the root.
+	dry, dm := newTree(0)
+	key, install := uint64(0), 0
+	for ; install == 0 && key < 10000; key++ {
+		before := dm.calls
+		if _, err := dry.Insert(env, key, key); err != nil {
+			t.Fatal(err)
+		}
+		if h, _ := dry.Height(env); h >= 2 && dm.calls-before == 2 {
+			install = dm.calls
+		}
+	}
+	if install == 0 {
+		t.Fatal("no insert split a leaf under an inner root")
+	}
+	tr, _ := newTree(install)
+	for k := uint64(0); k < key; k++ {
+		st, err := tr.Insert(env, k, k)
+		if err != nil {
+			t.Fatalf("insert %d: %v", k, err)
+		}
+		if k == key-1 && st.Restarts == 0 {
+			t.Fatalf("insert %d redid nothing: %+v", k, st)
+		}
+	}
+	if _, err := tr.CheckInvariants(env); err != nil {
+		t.Fatal(err)
+	}
+	h, err := tr.Height(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, st, err := tr.Lookup(env, key-1)
+	if err != nil || len(vals) != 1 {
+		t.Fatalf("lookup %d = %v, %v", key-1, vals, err)
+	}
+	if st.PageReads != h {
+		t.Fatalf("lookup of the split-off leaf read %d pages on a height-%d tree: its separator is missing", st.PageReads, h)
 	}
 }

@@ -269,6 +269,12 @@ func (m *Mem) WriteWords(p rdma.RemotePtr, src []uint64) error {
 	return m.inner.WriteWords(p, src)
 }
 
+// WriteUnlock implements btree.Mem; the publish invalidates the page.
+func (m *Mem) WriteUnlock(p rdma.RemotePtr, body []uint64) btree.Publish {
+	m.invalidate(p)
+	return m.inner.WriteUnlock(p, body)
+}
+
 // LoadWord implements btree.Mem.
 func (m *Mem) LoadWord(p rdma.RemotePtr) (uint64, error) { return m.inner.LoadWord(p) }
 

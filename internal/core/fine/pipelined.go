@@ -103,6 +103,10 @@ func (c *PipelinedClient) Range(lo, hi uint64, emit func(k, v uint64) bool) erro
 // Drain blocks until every submitted operation has completed.
 func (c *PipelinedClient) Drain() { c.eng.Drain() }
 
+// Admit blocks, running rounds, until a slot is free: the operation
+// submitted next is admitted at once (pipeline.Engine.Admit).
+func (c *PipelinedClient) Admit() { c.eng.Admit() }
+
 // Inflight returns the number of operation slots.
 func (c *PipelinedClient) Inflight() int { return c.eng.Inflight() }
 

@@ -374,10 +374,17 @@ var _ core.Index = (*Client)(nil)
 
 // NewClient binds a client to an endpoint; rrStart staggers split placement.
 func NewClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart int) *Client {
+	return newClient(ep, env, cat, rrStart, false)
+}
+
+// newClient builds a client whose leaf level borrows ep's post/poll surface
+// from a pipelined engine when borrowed is set (btree.EndpointMem.Borrowed).
+func newClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart int, borrowed bool) *Client {
 	l := layout.New(cat.PageBytes)
 	leaf := btree.New(l, &btree.EndpointMem{
-		Ep:    ep,
-		Place: btree.RoundRobin(cat.Servers, rrStart),
+		Ep:       ep,
+		Place:    btree.RoundRobin(cat.Servers, rrStart),
+		Borrowed: borrowed,
 	}, rdma.NullPtr)
 	return &Client{ep: ep, env: env, cat: cat, part: cat.Partitioner(), leaf: leaf}
 }

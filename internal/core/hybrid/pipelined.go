@@ -24,7 +24,8 @@ import (
 // pipelining the leaf half would buy little and complicate the exactly-once
 // argument. The engine calls machines only outside a Flush..Poll window,
 // where the rdma.AsyncEndpoint contract allows blocking verbs next to
-// other slots' unflushed posts.
+// other slots' unflushed posts; the leaf level therefore runs its publish
+// pair as two blocking verbs rather than posting it (EndpointMem.Borrowed).
 //
 // Like the serial Client, a PipelinedClient is owned by a single goroutine.
 type PipelinedClient struct {
@@ -101,7 +102,7 @@ func (m *machine) Outcome() pipeline.Outcome { return m.out }
 // Post/Flush/Poll, so the engine would fall back to blocking verbs.
 // internal/deploy rejects the combination.
 func NewPipelinedClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart, inflight int) *PipelinedClient {
-	c := NewClient(ep, env, cat, rrStart)
+	c := newClient(ep, env, cat, rrStart, true)
 	eng := pipeline.New(pipeline.Config{
 		Ep:         ep,
 		Env:        env,
@@ -166,6 +167,10 @@ func (c *PipelinedClient) Range(lo, hi uint64, emit func(k, v uint64) bool) erro
 
 // Drain blocks until every submitted operation has completed.
 func (c *PipelinedClient) Drain() { c.eng.Drain() }
+
+// Admit blocks, running rounds, until a slot is free: the operation
+// submitted next is admitted at once (pipeline.Engine.Admit).
+func (c *PipelinedClient) Admit() { c.eng.Admit() }
 
 // Inflight returns the number of operation slots.
 func (c *PipelinedClient) Inflight() int { return c.eng.Inflight() }

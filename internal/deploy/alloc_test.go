@@ -10,14 +10,16 @@ import (
 	"github.com/namdb/rdmatree/internal/partition"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
+	"github.com/namdb/rdmatree/internal/rdma/retry"
 )
 
 // TestPointOpAllocs pins the allocations of one blocking point operation on
 // direct: the coarse handler, whose tree handles are recycled across calls,
-// and the hybrid and fine serial clients. Lookups hit preloaded keys; inserts
-// land in leaves with room, so no split buffer is involved. The handler
-// counts are its response encode; the hybrid counts include the traverse
-// RPC's.
+// and the hybrid and fine serial clients, bare and over the retry ring (whose
+// posted publish pair must allocate nothing either). Lookups hit preloaded
+// keys; inserts land in leaves with room, so no split buffer is involved. The
+// handler counts are its response encode; the hybrid counts include the
+// traverse RPC's.
 func TestPointOpAllocs(t *testing.T) {
 	lookupKey := func(i int) uint64 { return uint64(i%preload) * step }
 	insertKey := func(i int) uint64 { return lookupKey(i) + 1 }
@@ -50,11 +52,17 @@ func TestPointOpAllocs(t *testing.T) {
 	})
 	for _, c := range []struct {
 		design         nam.Design
+		retry          bool
 		lookup, insert float64
-	}{{nam.Hybrid, 4, 3}, {nam.FineGrained, 0, 0}} {
-		t.Run(c.design.Name(), func(t *testing.T) {
+	}{{nam.Hybrid, false, 4, 3}, {nam.FineGrained, false, 0, 0}, {nam.Hybrid, true, 4, 3}, {nam.FineGrained, true, 0, 0}} {
+		name := c.design.Name()
+		var pol *retry.Policy
+		if c.retry {
+			name, pol = name+"+retry", &retry.Policy{}
+		}
+		t.Run(name, func(t *testing.T) {
 			fab, dep := build(t, c.design, 0)
-			cl, err := dep.Client(deploy.ClientOptions{Ep: fab.Endpoint(), Env: direct.Env{}})
+			cl, err := dep.Client(deploy.ClientOptions{Ep: fab.Endpoint(), Env: direct.Env{}, Retry: pol})
 			if err != nil {
 				t.Fatal(err)
 			}

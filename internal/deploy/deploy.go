@@ -159,6 +159,7 @@ type Pipelined interface {
 	Delete(key, value uint64, cb func(found bool, err error))
 	Range(lo, hi uint64, emit func(k, v uint64) bool) error
 	Drain()
+	Admit()
 }
 
 // Client is one built client stack, Serial or Pipelined. Cache is a cached
@@ -191,7 +192,8 @@ type ClientOptions struct {
 	// spending the failing operation's budget.
 	RouterPolicy, MirrorPolicy *retry.Policy
 	// Retry, when non-nil, wraps the endpoint under the design client in
-	// the shared verb retry policy. Serial clients only.
+	// the shared verb retry policy. A pipelined client's engine posts
+	// through it: the retry ring forwards the post/poll surface.
 	Retry *retry.Policy
 
 	// CachePages > 0 puts a page cache in front of the fine-grained
@@ -233,9 +235,9 @@ func (d *Deployment) check(o ClientOptions) error {
 		if d.Catalog.Replicated() {
 			return ErrPipelinedReplicated
 		}
-		if o.Retry != nil || o.Recover {
-			return errors.New("deploy: pipelined clients take no Retry or Recover ring: " +
-				"retry.Endpoint has no Post/Flush/Poll, and pipeline.Engine retries steps and re-runs operations itself")
+		if o.Recover {
+			return errors.New("deploy: pipelined clients take no Recover ring: " +
+				"pipeline.Engine re-runs operations itself")
 		}
 	}
 	if (o.CachePages > 0 || o.LegacyReads) && (design != nam.FineGrained || o.Inflight > 0) {

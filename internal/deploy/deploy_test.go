@@ -107,8 +107,7 @@ func TestRejections(t *testing.T) {
 		{"pipelined fine k=2", nam.FineGrained, 2, deploy.ClientOptions{Inflight: 8}, "replicated"},
 		{"pipelined coarse k=2", nam.CoarseGrained, 2, deploy.ClientOptions{Inflight: 8}, "replicated"},
 		{"pipelined hybrid k=2", nam.Hybrid, 2, deploy.ClientOptions{Inflight: 8}, "replicated"},
-		{"pipelined with retry", nam.FineGrained, 0, deploy.ClientOptions{Inflight: 8, Retry: &retry.Policy{}}, "no Retry or Recover"},
-		{"pipelined with recover", nam.Hybrid, 0, deploy.ClientOptions{Inflight: 8, Recover: true}, "no Retry or Recover"},
+		{"pipelined with recover", nam.Hybrid, 0, deploy.ClientOptions{Inflight: 8, Recover: true}, "no Recover"},
 		{"cache on coarse", nam.CoarseGrained, 0, deploy.ClientOptions{CachePages: 64}, "read path"},
 		{"legacy on hybrid", nam.Hybrid, 0, deploy.ClientOptions{LegacyReads: true}, "read path"},
 		{"pipelined cache", nam.FineGrained, 0, deploy.ClientOptions{Inflight: 8, CachePages: 64}, "read path"},
@@ -149,8 +148,8 @@ func TestRejections(t *testing.T) {
 
 // TestFeatureMatrix runs every supported stack through the builder against
 // the in-memory oracle: each design serial and 8 in flight, unreplicated,
-// and serial at k=2; plus the fine-grained cached and legacy read paths,
-// unreplicated and at k=2. Replicated rows also require every backup to be
+// 8 in flight over the retry ring, and serial at k=2; plus the fine-grained
+// cached and legacy read paths, unreplicated and at k=2. Replicated rows also require every backup to be
 // byte-identical to its primary afterwards — the client mirrored every page
 // it acked.
 func TestFeatureMatrix(t *testing.T) {
@@ -164,6 +163,7 @@ func TestFeatureMatrix(t *testing.T) {
 		rows = append(rows,
 			row{d, 0, deploy.ClientOptions{}},
 			row{d, 0, deploy.ClientOptions{Inflight: 8}},
+			row{d, 0, deploy.ClientOptions{Inflight: 8, Retry: &retry.Policy{}}},
 			row{d, 2, deploy.ClientOptions{}})
 	}
 	for _, k := range []int{0, 2} {
@@ -172,8 +172,12 @@ func TestFeatureMatrix(t *testing.T) {
 			row{nam.FineGrained, k, deploy.ClientOptions{LegacyReads: true}})
 	}
 	for _, r := range rows {
-		name := fmt.Sprintf("%s/k=%d/inflight=%d/cache=%d/legacy=%v",
-			r.design.Name(), r.replicas, r.opts.Inflight, r.opts.CachePages, r.opts.LegacyReads)
+		inflight := fmt.Sprint(r.opts.Inflight)
+		if r.opts.Retry != nil {
+			inflight += "+retry"
+		}
+		name := fmt.Sprintf("%s/k=%d/inflight=%s/cache=%d/legacy=%v",
+			r.design.Name(), r.replicas, inflight, r.opts.CachePages, r.opts.LegacyReads)
 		t.Run(name, func(t *testing.T) {
 			fab, dep := build(t, r.design, r.replicas)
 			r.opts.ID, r.opts.Ep, r.opts.Env = 1, fab.Endpoint(), direct.Env{}

@@ -71,6 +71,19 @@ func (m *Mem) WriteWords(p rdma.RemotePtr, src []uint64) error {
 	return err
 }
 
+// WriteUnlock implements btree.Mem, recording the pair as its two events:
+// the body write, then the unlock with its own outcome.
+func (m *Mem) WriteUnlock(p rdma.RemotePtr, body []uint64) btree.Publish {
+	pub := m.Inner.WriteUnlock(p, body)
+	m.Log.Event(EvWrite, uint64(p.Add(8)), uint64(len(body)))
+	out := uint64(outOK)
+	if pub.UnlockErr != nil {
+		out = outErr
+	}
+	m.Log.Event(EvUnlock, uint64(p), out)
+	return pub
+}
+
 // LoadWord implements btree.Mem.
 func (m *Mem) LoadWord(p rdma.RemotePtr) (uint64, error) {
 	v, err := m.Inner.LoadWord(p)

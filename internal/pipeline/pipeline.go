@@ -280,12 +280,21 @@ func (e *Engine) Range(lo, hi uint64, emit func(k, v uint64) bool) error {
 	return e.cfg.Index.Range(lo, hi, emit)
 }
 
-// take claims a free slot, pumping rounds until one completes if all are
-// busy (submission backpressure).
-func (e *Engine) take() *slot {
+// Admit runs rounds until a slot is free (submission backpressure), so the
+// next submitted operation is admitted at once. A caller timing operations
+// reads its clock after Admit: an operation's latency then starts at its
+// admission and does not include the service time of the operation whose
+// slot it waited for.
+func (e *Engine) Admit() {
 	for len(e.free) == 0 {
 		e.pumpRound()
 	}
+}
+
+// take claims a free slot, pumping rounds until one completes if all are
+// busy.
+func (e *Engine) take() *slot {
+	e.Admit()
 	idx := e.free[len(e.free)-1]
 	e.free = e.free[:len(e.free)-1]
 	e.active++

@@ -11,14 +11,24 @@ import (
 // clients; stack it directly over the transport (or over faultnet), under
 // the telemetry decorator if per-verb latencies should include retries.
 //
+// The wrapper has the non-blocking surface (rdma.AsyncEndpoint) exactly
+// when inner has it; its Poll retries what a blocking verb's retry would
+// (see asyncEndpoint), so a stack never falls back to rdma.Async's
+// blocking adapter because retry sits in it.
+//
 // Like every endpoint, the wrapper is owned by one client goroutine.
-func Wrap(inner rdma.Endpoint, p *Policy) *Endpoint {
+func Wrap(inner rdma.Endpoint, p *Policy) rdma.Endpoint {
 	p.Defaults()
 	rec, _ := inner.(rdma.Reconnector)
-	return &Endpoint{inner: inner, policy: p, rec: rec}
+	e := &Endpoint{inner: inner, policy: p, rec: rec}
+	if a, ok := inner.(rdma.AsyncEndpoint); ok {
+		return &asyncEndpoint{Endpoint: e, async: a}
+	}
+	return e
 }
 
-// Endpoint is the retrying rdma.Endpoint decorator built by Wrap.
+// Endpoint is the retrying rdma.Endpoint decorator built by Wrap over an
+// endpoint with blocking verbs only.
 type Endpoint struct {
 	inner  rdma.Endpoint
 	policy *Policy

@@ -18,6 +18,16 @@
 // permanent error, and the clients' operation-level recovery (epoch-fenced
 // re-traversal) takes over from there.
 //
+// The wrapper forwards the non-blocking surface (rdma.AsyncEndpoint) exactly
+// when the endpoint it wraps has one, so pipelined clients and the blocking
+// clients' one-doorbell page publish (btree.Mem.WriteUnlock) run under the
+// same policy. A posted batch is retried per memory server, and only where
+// the failures are a trailing run of transient errors in that server's
+// posting order — the pattern an RC queue pair's flush-behind-error
+// produces, whose in-order re-post replays the server's verbs in order.
+// Every other pattern is delivered to the caller as it is (see
+// asyncEndpoint).
+//
 // The package runs under simnet virtual time, so it never touches the wall
 // clock itself: backoff waits go through the injected Policy.Sleep hook (nil
 // means yield-only backoff, the right choice for in-process transports).

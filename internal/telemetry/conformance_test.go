@@ -13,6 +13,7 @@ import (
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
+	"github.com/namdb/rdmatree/internal/rdma/retry"
 	"github.com/namdb/rdmatree/internal/rdma/tcpnet"
 	"github.com/namdb/rdmatree/internal/telemetry"
 	"github.com/namdb/rdmatree/internal/workload"
@@ -139,16 +140,28 @@ func TestConformanceTCP(t *testing.T) {
 // TestListing2VerbSequence pins the fused consistent-read protocol on a
 // 3-level tree: with a warm root pointer, a fine-grained point lookup visits
 // each level exactly once, and each visit is ONE selectively-signalled
-// READ_MULTI batch carrying [page, version word] — nothing else. The legacy
-// unbatched client must still produce the paper's original Listing-2
-// sequence of 2·height plain READs, also pinned here.
+// READ_MULTI batch carrying [page, version word] — nothing else. A no-split
+// insert adds the lock CAS and one doorbell carrying the body WRITE and the
+// unlock FAA. Both hold on the bare endpoint and under the retry ring. The
+// legacy unbatched client must still produce the paper's original Listing-2
+// sequence of 2·height plain READs, and publish in two rounds, also pinned
+// here.
 func TestListing2VerbSequence(t *testing.T) {
+	for _, name := range []string{"bare", "retry"} {
+		t.Run(name, func(t *testing.T) { listing2VerbSequence(t, name == "retry") })
+	}
+}
+
+func listing2VerbSequence(t *testing.T, retried bool) {
 	const page, n = 512, 12000
 	fab, cat := buildFineDirect(t, 1, n, page)
 	rec := telemetry.NewRecorder(1)
-	ep := telemetry.Wrap(fab.Endpoint(), rec, nil)
+	te := telemetry.Wrap(fab.Endpoint(), rec, nil)
+	var ep rdma.Endpoint = te
+	if retried {
+		ep = retry.Wrap(te, &retry.Policy{})
+	}
 	c := fine.NewClient(ep, direct.Env{}, cat, 0)
-
 	h, err := c.Tree().Height(direct.Env{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +192,7 @@ func TestListing2VerbSequence(t *testing.T) {
 	}
 
 	fresh := telemetry.NewRecorder(1)
-	ep.Rec = fresh
+	te.Rec = fresh
 	c.SetRecorder(fresh)
 	vals, err := c.Lookup(key)
 	if err != nil {
@@ -222,7 +235,7 @@ func TestListing2VerbSequence(t *testing.T) {
 	// then one lock CAS on the version the descent validated (the leaf is not
 	// re-read), the body WRITE and the unlock-and-bump FAA — nothing else.
 	fresh = telemetry.NewRecorder(1)
-	ep.Rec = fresh
+	te.Rec = fresh
 	c.SetRecorder(fresh)
 	if err := c.Insert(key, 1<<40); err != nil {
 		t.Fatal(err)
@@ -242,6 +255,14 @@ func TestListing2VerbSequence(t *testing.T) {
 	idx = fresh.StatsMap()["index"].(map[string]any)
 	if r := idx["page_reads"].(int64); r != int64(h) {
 		t.Fatalf("insert page reads = %d, want %d", r, h)
+	}
+	// The body WRITE and the unlock FAA share one doorbell, so the insert
+	// is one round shorter than Listing 3's sequence of blocking verbs.
+	if f := fresh.PipelineFlushes(); f != 1 {
+		t.Fatalf("insert rang %d doorbells, want 1 (the WRITE+FAA pair)", f)
+	}
+	if r := idx["exposed_rtts"].(int64); r != int64(h+2) {
+		t.Fatalf("insert exposed RTTs = %d, want %d", r, h+2)
 	}
 	if s := idx["splits"].(int64); s != 0 {
 		t.Fatalf("insert split %d pages; pick a key whose leaf has room", s)
@@ -270,6 +291,18 @@ func TestListing2VerbSequence(t *testing.T) {
 	}
 	if got := fresh2.VerbOps(telemetry.VerbReadMulti); got != 0 {
 		t.Fatalf("unbatched lookup issued %d READ_MULTI batches, want 0", got)
+	}
+	// Its insert publishes with two blocking verbs, no doorbell.
+	fresh2 = telemetry.NewRecorder(1)
+	ep2.Rec = fresh2
+	if err := c2.Insert(key, 1<<41); err != nil {
+		t.Fatal(err)
+	}
+	if w, f := fresh2.VerbOps(telemetry.VerbWrite), fresh2.VerbOps(telemetry.VerbFetchAdd); w != 1 || f != 1 {
+		t.Fatalf("unbatched insert issued %d WRITEs and %d FAAs, want 1 and 1", w, f)
+	}
+	if f := fresh2.PipelineFlushes(); f != 0 {
+		t.Fatalf("unbatched insert rang %d doorbells, want 0", f)
 	}
 }
 
