@@ -107,10 +107,14 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name:     "repl-crash-lose",
-			Doc:      "k=2: server 2 crashes mid-run and restarts with its region wiped; its group fails over to the surviving replica and every acked operation recovers",
+			Doc:      "k=2: server 2 crashes mid-run and restarts with its region wiped, on top of a 0.5% drop rate; its group fails over to the surviving replica and every acked operation recovers",
 			Replicas: 2,
 			Schedule: faultnet.Schedule{
-				Seed: 6,
+				// The drops guarantee verb-level retries in every run: the
+				// crash alone may resolve through promotion and operation
+				// re-runs without one.
+				Seed:     6,
+				DropRate: 0.005,
 				Steps: []faultnet.Step{
 					{AtTick: 1_600, Server: 2, DownForTicks: 150, Lose: true},
 				},

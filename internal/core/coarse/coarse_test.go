@@ -131,7 +131,7 @@ func TestWordsBytesRoundTrip(t *testing.T) {
 		for i := range b {
 			b[i] = byte(i * 7)
 		}
-		got := WordsToBytes(bytesToWords(b))
+		got := WordsToBytes(nam.PackBytes(b))
 		if len(got) != n {
 			t.Fatalf("len %d -> %d", n, len(got))
 		}

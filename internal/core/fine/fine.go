@@ -16,6 +16,7 @@ import (
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/obs"
+	"github.com/namdb/rdmatree/internal/pipeline"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/telemetry"
 )
@@ -53,9 +54,11 @@ func Build(setupEp rdma.Endpoint, opts Options, spec core.BuildSpec) (*nam.Catal
 }
 
 // Client is one compute thread's handle onto the fine-grained index. All
-// operations run on the client over one-sided verbs.
+// operations run on the client over one-sided verbs. Like its endpoint, a
+// Client is owned by a single goroutine.
 type Client struct {
 	tree *btree.Tree
+	ep   rdma.Endpoint // the PageMem's, if the client reads through one
 	env  rdma.Env
 	rec  *telemetry.Recorder
 	log  *obs.Log
@@ -81,7 +84,80 @@ func PageMem(ep rdma.Endpoint, cat *nam.Catalog, rrStart int) *btree.EndpointMem
 // NewClientOn binds a client to a page access path: a PageMem, or a
 // decorator of one such as a page cache.
 func NewClientOn(m btree.Mem, env rdma.Env, cat *nam.Catalog) *Client {
-	return &Client{tree: btree.New(layout.New(cat.PageBytes), m, cat.RootWords[0]), env: env}
+	c := &Client{tree: btree.New(layout.New(cat.PageBytes), m, cat.RootWords[0]), env: env}
+	if pm, ok := m.(*btree.EndpointMem); ok {
+		c.ep = pm.Ep
+	}
+	return c
+}
+
+// Pipeline returns an engine through which one compute thread keeps up to
+// inflight of c's operations outstanding on c's endpoint, the traversal
+// steps of all of them sharing doorbell batches (DESIGN.md §11); inflight
+// <= 0 selects pipeline.DefaultInflight. Each slot runs a btree.Traversal
+// over c's tree, and records its protocol counters into c's recorder as a
+// serial operation does. Operations complete through callbacks, in whatever
+// order the protocol resolves them. The engine's Range drains it and runs
+// c's scan: a scan chains leaf pointers and gains nothing from overlapping
+// with point operations.
+//
+// c must read through a PageMem: a page cache or the Unbatched reads would
+// be bypassed by the posted ones. internal/deploy refuses a pipelined
+// client on a replicated catalog: the replica router has no
+// Post/Flush/Poll, so the engine would fall back to blocking verbs.
+func (c *Client) Pipeline(inflight int) *pipeline.Engine {
+	if c.ep == nil {
+		panic("fine: Pipeline needs a client reading through PageMem")
+	}
+	return pipeline.New(pipeline.Config{
+		Ep:       c.ep,
+		Env:      c.env,
+		Inflight: inflight,
+		Index:    c,
+		NewMachine: func() pipeline.Machine {
+			return &traversal{Traversal: btree.NewTraversal(c.tree, c.env), c: c}
+		},
+	})
+}
+
+// traversal is the fine design's pipeline.Machine: a btree.Traversal whose
+// per-attempt protocol counters go to the client's recorder, as a serial
+// attempt's do.
+type traversal struct {
+	*btree.Traversal
+	c *Client
+}
+
+func (m *traversal) Step(comps []rdma.Completion, sink pipeline.Sink) btree.StepResult {
+	return m.record(m.Traversal.Step(comps, sink))
+}
+
+func (m *traversal) Redo(sink pipeline.Sink) btree.StepResult { return m.Traversal.Redo(sink) }
+
+func (m *traversal) Abort(err error) btree.StepResult {
+	return m.record(m.Traversal.Abort(err))
+}
+
+func (m *traversal) Outcome() pipeline.Outcome {
+	return pipeline.Outcome{Values: m.Values, Found: m.Found, Part: -1}
+}
+
+func (m *traversal) record(res btree.StepResult) btree.StepResult {
+	if res.Status == btree.StepDone || res.Status == btree.StepFailed {
+		m.c.record(m.St)
+	}
+	return res
+}
+
+// PipelinedClient exists only for the benchmark harness (benchmark/, the
+// ruler), which names it. ROADMAP slice 3e, which moves the harness onto
+// internal/deploy, deletes it.
+type PipelinedClient = pipeline.Engine
+
+// NewPipelinedClient is NewClient(ep, env, cat, rrStart).Pipeline(inflight).
+// It exists only for the benchmark harness, and ROADMAP slice 3e deletes it.
+func NewPipelinedClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart, inflight int) *PipelinedClient {
+	return NewClient(ep, env, cat, rrStart).Pipeline(inflight)
 }
 
 // SetRecorder directs the client's per-operation protocol counters

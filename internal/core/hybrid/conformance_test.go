@@ -11,6 +11,7 @@ import (
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/partition"
+	"github.com/namdb/rdmatree/internal/pipeline"
 	"github.com/namdb/rdmatree/internal/policy"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
@@ -68,7 +69,7 @@ func driveSerial(t *testing.T, idx core.Index) string {
 // drivePipelined runs the same script through the async surface, keeping the
 // window full within each section and draining at section boundaries.
 // Results are transcribed in submission order.
-func drivePipelined(t *testing.T, c *hybrid.PipelinedClient) string {
+func drivePipelined(t *testing.T, c *pipeline.Engine) string {
 	t.Helper()
 	type getRes struct {
 		vals []uint64
@@ -178,9 +179,9 @@ func TestAdaptiveConformanceDirect(t *testing.T) {
 		}
 		for _, inflight := range []int{1, 8} {
 			fab, cat := buildDirect(t, 4)
-			p := hybrid.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, 0, inflight)
-			p.SetDecider(v.dec())
-			if got := drivePipelined(t, p); got != baseline {
+			c := hybrid.NewClient(fab.Endpoint(), direct.Env{}, cat, 0)
+			c.SetDecider(v.dec())
+			if got := drivePipelined(t, c.Pipeline(inflight)); got != baseline {
 				t.Errorf("pipelined %s in-flight %d diverged from baseline:\nbaseline:\n%s\ngot:\n%s",
 					v.name, inflight, baseline, got)
 			}
@@ -244,9 +245,9 @@ func TestAdaptiveConformanceTCP(t *testing.T) {
 		}
 		for _, inflight := range []int{1, 8} {
 			cat, addrs := deploy()
-			p := hybrid.NewPipelinedClient(dial(addrs), rdma.NopEnv{}, cat, 0, inflight)
-			p.SetDecider(v.dec())
-			if got := drivePipelined(t, p); got != baseline {
+			c := hybrid.NewClient(dial(addrs), rdma.NopEnv{}, cat, 0)
+			c.SetDecider(v.dec())
+			if got := drivePipelined(t, c.Pipeline(inflight)); got != baseline {
 				t.Errorf("TCP pipelined %s in-flight %d diverged:\nbaseline:\n%s\ngot:\n%s",
 					v.name, inflight, baseline, got)
 			}

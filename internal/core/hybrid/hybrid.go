@@ -16,61 +16,26 @@ package hybrid
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/namdb/rdmatree/internal/btree"
 	"github.com/namdb/rdmatree/internal/core"
+	"github.com/namdb/rdmatree/internal/core/rpc"
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/obs"
 	"github.com/namdb/rdmatree/internal/partition"
+	"github.com/namdb/rdmatree/internal/pipeline"
 	"github.com/namdb/rdmatree/internal/policy"
 	"github.com/namdb/rdmatree/internal/rdma"
-	"github.com/namdb/rdmatree/internal/rdma/repl"
 	"github.com/namdb/rdmatree/internal/telemetry"
 )
 
-// Options configures the hybrid design.
-type Options struct {
-	// Layout is the page layout (page size P).
-	Layout layout.Layout
-	// Part partitions the key space across the servers owning upper levels.
-	Part partition.Partitioner
-	// VisitNS is the CPU time an RPC handler charges per page visited
-	// (performance model of the simulated fabric).
-	VisitNS int64
-	// Telemetry, when non-nil, receives the per-operation protocol counters
-	// of the handler-executed traversals and installs.
-	Telemetry *telemetry.Recorder
-	// Replicas is the page-replication factor k (0 and 1 both mean
-	// unreplicated). Replicated deployments must configure the fabric with
-	// the nam.ReplicaLayout slab allocators before building; install
-	// handlers then capture committed post-images into the response's Dirty
-	// trailer for the client to mirror.
-	Replicas int
-	// RegionBytes is the uniform registered-region size; required (and
-	// recorded in the catalog) when Replicas >= 2.
-	RegionBytes uint64
-	// SpinBudget bounds each handler-executed tree operation's consistency
-	// restarts (btree.Tree.SpinBudget); 0 leaves the waits unbounded.
-	// Fault-injected replicated deployments must set it: an install that
-	// waits for split state lost with a crashed primary otherwise spins
-	// forever (the writer it waits for is dead). With a budget the handler
-	// fails the RPC with a StatusRetry response instead, and the client
-	// re-runs the operation — the half-split leaf stays reachable through
-	// its right link, so the re-run's presence check can ack it.
-	SpinBudget int
-}
+// Options configures the design (rpc.Options).
+type Options = rpc.Options
 
 // Server is the server side: per-server upper-level trees.
 type Server struct {
-	opts    Options
-	fab     rdma.Fabric
-	catalog *nam.Catalog
-	handles sync.Pool // *btree.Tree handles, recycled across handler calls
-	// load, when non-nil, holds each server's handler-CPU utilization probe
-	// ([0,1]), piggybacked on every reply (nam.Response.Load).
-	load []func() float64
+	rpc *rpc.Server
 }
 
 // SetLoadProbe installs one CPU-utilization probe per server, made by probe
@@ -80,43 +45,15 @@ type Server struct {
 // the probes (simnet.Fabric.ServerCoreLoad), keeping this package free of
 // any dependency on the fabric's implementation.
 func (s *Server) SetLoadProbe(probe func(server int) func() float64) {
-	s.load = make([]func() float64, s.fab.NumServers())
-	for i := range s.load {
-		s.load[i] = probe(i)
+	s.rpc.Load = make([]func() float64, s.rpc.Fab.NumServers())
+	for i := range s.rpc.Load {
+		s.rpc.Load[i] = probe(i)
 	}
 }
 
 // NewServer wires the design's server side onto a fabric.
 func NewServer(fab rdma.Fabric, opts Options) *Server {
-	if opts.Part.Servers() != fab.NumServers() {
-		panic("hybrid: partitioner/fabric server count mismatch")
-	}
-	cat := nam.NewCatalog(nam.Hybrid, opts.Layout.PageBytes, fab.NumServers(), opts.Replicas, opts.RegionBytes, opts.Part)
-	return &Server{opts: opts, fab: fab, catalog: cat}
-}
-
-// tree returns a fresh server-side handle for one server's upper levels.
-// Handlers only ever touch inner nodes, which are all local.
-func (s *Server) tree(server int) *btree.Tree { return s.treeFor(server, server) }
-
-// treeFor returns the handle serving group's upper levels on server. Before
-// a failover group == server; afterwards the handler traverses the foreign
-// group's mirrored inner nodes out of its own region (identity-offset
-// replicas), allocating any new inner pages from its own slab.
-func (s *Server) treeFor(server, group int) *btree.Tree {
-	var m btree.Mem = btree.LocalMem{Srv: s.fab.Server(server)}
-	if group != server {
-		m = btree.ReplicaLocalMem{Srv: s.fab.Server(server), Home: group}
-	}
-	t, ok := s.handles.Get().(*btree.Tree)
-	if !ok {
-		t = btree.New(s.opts.Layout, nil, rdma.NullPtr)
-		t.VisitNS = s.opts.VisitNS
-		t.SpinBudget = s.opts.SpinBudget
-	}
-	t.M, t.RootWord, t.Repl = m, s.catalog.RootWords[group], nil
-	t.InvalidateRoot()
-	return t
+	return &Server{rpc: rpc.NewServer(fab, nam.Hybrid, opts)}
 }
 
 // Build bulk-loads the index: for every server's partition, the leaf level
@@ -125,12 +62,12 @@ func (s *Server) treeFor(server, group int) *btree.Tree {
 // guaranteed an inner root even when tiny, so server-side traversal never
 // touches a foreign leaf.
 func (s *Server) Build(setupEp rdma.Endpoint, spec core.BuildSpec) (*nam.Catalog, error) {
-	for srv := 0; srv < s.fab.NumServers(); srv++ {
+	for srv := 0; srv < s.rpc.Fab.NumServers(); srv++ {
 		if err := s.BuildServer(setupEp, srv, spec); err != nil {
 			return nil, err
 		}
 	}
-	return s.catalog, nil
+	return s.rpc.Cat, nil
 }
 
 // BuildServer bulk-loads one partition only: its leaves are spread over all
@@ -140,7 +77,7 @@ func (s *Server) Build(setupEp rdma.Endpoint, spec core.BuildSpec) (*nam.Catalog
 // -design hybrid) call this with their own server ID after all peers are
 // listening; the spec must be identical on every process.
 func (s *Server) BuildServer(setupEp rdma.Endpoint, srv int, spec core.BuildSpec) error {
-	servers := s.fab.NumServers()
+	servers := s.rpc.Fab.NumServers()
 	rr := srv // stagger leaf placement across independently-built partitions
 	place := func(level int) int {
 		if level == 0 {
@@ -150,24 +87,8 @@ func (s *Server) BuildServer(setupEp rdma.Endpoint, srv int, spec core.BuildSpec
 		}
 		return srv
 	}
-	t := btree.New(s.opts.Layout, &btree.EndpointMem{Ep: setupEp, Place: place}, s.catalog.RootWords[srv])
-	count := 0
-	for i := 0; i < spec.N; i++ {
-		k, _ := spec.At(i)
-		if s.opts.Part.Server(k) == srv {
-			count++
-		}
-	}
-	cursor := 0
-	at := func(int) (uint64, uint64) {
-		for {
-			k, v := spec.At(cursor)
-			cursor++
-			if s.opts.Part.Server(k) == srv {
-				return k, v
-			}
-		}
-	}
+	t := btree.New(s.rpc.Layout, &btree.EndpointMem{Ep: setupEp, Place: place}, s.rpc.Cat.RootWords[srv])
+	count, at := rpc.Partition(spec, s.rpc.Part, srv)
 	cfg := btree.BuildConfig{Fill: spec.Fill, HeadEvery: spec.HeadEvery}
 	if count == 0 {
 		if err := t.Init(rdma.NopEnv{}); err != nil { //rdmavet:allow nopenv -- bootstrap: runs once before timed traffic
@@ -178,13 +99,13 @@ func (s *Server) BuildServer(setupEp rdma.Endpoint, srv int, spec core.BuildSpec
 	}
 	// Guarantee the root is an inner node on the owning server: wrap a
 	// single-leaf tree in a one-entry inner root.
-	return ensureInnerRoot(setupEp, s.opts.Layout, srv, s.catalog.RootWords[srv])
+	return ensureInnerRoot(setupEp, s.rpc.Layout, srv, s.rpc.Cat.RootWords[srv])
 }
 
 // Catalog returns the catalog describing this deployment. It depends only
 // on the options, so every process of a distributed deployment serves the
 // same one whichever partitions it built.
-func (s *Server) Catalog() *nam.Catalog { return s.catalog }
+func (s *Server) Catalog() *nam.Catalog { return s.rpc.Cat }
 
 // ensureInnerRoot wraps a leaf root in a local inner root (the hybrid
 // invariant: server-side traversal only touches local inner nodes).
@@ -218,87 +139,35 @@ func ensureInnerRoot(ep rdma.Endpoint, l layout.Layout, srv int, rootWord rdma.R
 	return ep.Write(rootWord, []uint64{uint64(innerPtr)})
 }
 
-// respErr classifies a handler-side tree failure: spin-budget exhaustion is
-// op-recoverable at the client (StatusRetry — fence, re-traverse, re-run),
-// anything else aborts the operation.
-func respErr(err error) *nam.Response {
-	if errors.Is(err, btree.ErrSpinBudget) {
-		return nam.RetryResponse(err)
-	}
-	return nam.ErrResponse(err)
-}
-
 // Handler returns the RPC handler serving OpTraverse, OpInstall and
 // OpCatalog.
-func (s *Server) Handler() rdma.Handler {
-	return func(env rdma.Env, server int, reqBytes []byte) ([]byte, rdma.Work) {
-		req, err := nam.DecodeRequest(reqBytes)
-		if err != nil {
-			return nam.ErrResponse(err).Encode(), rdma.Work{}
-		}
-		group := server
-		if s.catalog.Replicated() {
-			group = int(req.Group)
-		}
-		t := s.treeFor(server, group)
-		defer s.handles.Put(t)
-		var capt *repl.Capture
-		if s.catalog.Replicated() {
-			// Servers are passive toward each other (NAM): committed inner
-			// pages are captured and shipped back for the client to mirror.
-			capt = &repl.Capture{}
-			t.Repl = capt
-		}
-		var resp *nam.Response
-		var st btree.Stats
-		switch req.Op {
-		case nam.OpTraverse:
-			leaf, stats, err := t.FindLeaf(env, req.Key)
-			st = stats
-			if err != nil {
-				resp = respErr(err)
-			} else {
-				resp = &nam.Response{Status: nam.StatusOK, Ptr: leaf}
-			}
-		case nam.OpInstall:
-			stats, err := t.Install(env, 1, req.End, req.Left, req.Right)
-			st = stats
-			if err != nil {
-				resp = respErr(err)
-			} else {
-				resp = &nam.Response{Status: nam.StatusOK}
-			}
-		case nam.OpCatalog:
-			resp = &nam.Response{Status: nam.StatusOK, Pairs: nam.PackBytes(s.catalog.Encode())}
-		default:
-			resp = nam.ErrResponse(fmt.Errorf("hybrid: bad op %d", req.Op))
-		}
-		if s.opts.Telemetry != nil && st.Ops() > 0 {
-			s.opts.Telemetry.RecordIndexOp(st)
-		}
-		if capt != nil && len(capt.Pages) > 0 {
-			// Error responses carry the trailer too: an install that
-			// committed pages before failing still needs them mirrored.
-			resp.Dirty = capt.Pages
-		}
-		if s.load != nil {
-			if u := s.load[server](); u > 0 {
-				if u > 1 {
-					u = 1
-				}
-				resp.Load = uint8(u*100 + 0.5)
-			}
-		}
-		return resp.Encode(), rdma.Work{PagesTouched: st.PageReads + st.PageWrites}
+func (s *Server) Handler() rdma.Handler { return s.rpc.Handler(serve) }
+
+// serve executes a traverse or an install on t. Handlers only ever touch
+// inner nodes, which are all local.
+func serve(env rdma.Env, t *btree.Tree, req nam.Request) (resp nam.Response, st btree.Stats) {
+	var err error
+	switch req.Op {
+	case nam.OpTraverse:
+		resp.Ptr, st, err = t.FindLeaf(env, req.Key)
+	case nam.OpInstall:
+		st, err = t.Install(env, 1, req.End, req.Left, req.Right)
+	default:
+		return *nam.ErrResponse(fmt.Errorf("hybrid: bad op %d", req.Op)), st
 	}
+	if err != nil {
+		return rpc.ErrResponse(err), st
+	}
+	resp.Status = nam.StatusOK
+	return resp, st
 }
 
 // CheckInvariants verifies every partition's tree through a global view
 // (tests only) and returns total live entries.
 func (s *Server) CheckInvariants(ep rdma.Endpoint) (int, error) {
 	total := 0
-	for i := 0; i < s.fab.NumServers(); i++ {
-		t := btree.New(s.opts.Layout, &btree.EndpointMem{Ep: ep, Place: btree.Fixed(i)}, s.catalog.RootWords[i])
+	for i := 0; i < s.rpc.Fab.NumServers(); i++ {
+		t := btree.New(s.rpc.Layout, &btree.EndpointMem{Ep: ep, Place: btree.Fixed(i)}, s.rpc.Cat.RootWords[i])
 		n, err := t.CheckInvariants(rdma.NopEnv{}) //rdmavet:allow nopenv -- test-only invariant sweep, never on the timed path
 		if err != nil {
 			return 0, fmt.Errorf("server %d: %w", i, err)
@@ -325,7 +194,7 @@ func NewGC(c *Client) *GC { return &GC{c: c} }
 // RunEpoch compacts delete-bit entries in every partition's leaf chain and
 // returns the number of entries removed.
 func (g *GC) RunEpoch() (removed int, err error) {
-	for srv := 0; srv < g.c.cat.Servers; srv++ {
+	for srv := 0; srv < g.c.rpc.Cat.Servers; srv++ {
 		leaf, err := g.c.traverse(srv, 0)
 		if err != nil {
 			return removed, err
@@ -339,18 +208,18 @@ func (g *GC) RunEpoch() (removed int, err error) {
 	return removed, nil
 }
 
-// Client is one compute thread's handle onto a hybrid index.
+// Client is one compute thread's handle onto a hybrid index. Like its
+// endpoint, a Client is owned by a single goroutine.
 type Client struct {
-	ep   rdma.Endpoint
+	rpc  rpc.Client
 	env  rdma.Env
-	cat  *nam.Catalog
 	part partition.Partitioner
-	// leaf drives the one-sided leaf-level protocol; its placement policy
-	// spreads split pages round-robin (leaves stay fine-grained).
-	leaf *btree.Tree
-	rec  *telemetry.Recorder
-	log  *obs.Log
-	mir  nam.DirtyPusher
+	// leaf drives the one-sided leaf-level protocol over leafMem, whose
+	// placement policy spreads split pages round-robin (leaves stay
+	// fine-grained).
+	leaf    *btree.Tree
+	leafMem *btree.EndpointMem
+	rec     *telemetry.Recorder
 
 	// dec, when non-nil, selects the traversal strategy per operation
 	// (policy.Decider); upper[srv] is the client-side handle onto server
@@ -374,20 +243,105 @@ var _ core.Index = (*Client)(nil)
 
 // NewClient binds a client to an endpoint; rrStart staggers split placement.
 func NewClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart int) *Client {
-	return newClient(ep, env, cat, rrStart, false)
+	m := &btree.EndpointMem{Ep: ep, Place: btree.RoundRobin(cat.Servers, rrStart)}
+	return &Client{
+		rpc:     rpc.Client{Ep: ep, Cat: cat},
+		env:     env,
+		part:    cat.Partitioner(),
+		leaf:    btree.New(layout.New(cat.PageBytes), m, rdma.NullPtr),
+		leafMem: m,
+	}
 }
 
-// newClient builds a client whose leaf level borrows ep's post/poll surface
-// from a pipelined engine when borrowed is set (btree.EndpointMem.Borrowed).
-func newClient(ep rdma.Endpoint, env rdma.Env, cat *nam.Catalog, rrStart int, borrowed bool) *Client {
-	l := layout.New(cat.PageBytes)
-	leaf := btree.New(l, &btree.EndpointMem{
-		Ep:       ep,
-		Place:    btree.RoundRobin(cat.Servers, rrStart),
-		Borrowed: borrowed,
-	}, rdma.NullPtr)
-	return &Client{ep: ep, env: env, cat: cat, part: cat.Partitioner(), leaf: leaf}
+// Pipeline returns an engine that keeps up to inflight of c's operations
+// outstanding at once, their traverse RPCs sharing doorbell batches
+// (DESIGN.md §11); inflight <= 0 selects pipeline.DefaultInflight. Each slot
+// runs c's two halves of an operation. The upper-level traversal is either a
+// posted traverse RPC, the call that dominates the exposed latency and that
+// the engine pipelines, or, when the decider picks one-sided, the
+// client-side descent, run with blocking fused reads in the machine's first
+// step. The leaf half (the one-sided leaf access, and a split's install
+// RPC) then runs with blocking verbs in the same step; splits are rare, and
+// pipelining the leaf half would buy little and complicate the exactly-once
+// argument. The engine calls machines only outside a Flush..Poll window,
+// where the rdma.AsyncEndpoint contract allows blocking verbs next to other
+// slots' unflushed posts, so from here on c's leaf level runs its publish
+// pair as two blocking verbs rather than posting it
+// (btree.EndpointMem.Borrowed). The engine's Range drains it and runs c's.
+// internal/deploy refuses a pipelined client on a replicated catalog: the
+// replica router has no Post/Flush/Poll, so the engine would fall back to
+// blocking verbs.
+func (c *Client) Pipeline(inflight int) *pipeline.Engine {
+	c.leafMem.Borrowed = true
+	return pipeline.New(pipeline.Config{
+		Ep:         c.rpc.Ep,
+		Env:        c.env,
+		Inflight:   inflight,
+		Index:      c,
+		NewMachine: func() pipeline.Machine { return &machine{c: c} },
+	})
 }
+
+// machine is the hybrid design's pipeline.Machine.
+type machine struct {
+	c          *Client
+	op         btree.TraversalOp
+	key, value uint64
+	t0         int64 // policy-clock posting time of the traverse RPC
+	out        pipeline.Outcome
+}
+
+func (m *machine) Begin(op btree.TraversalOp, key, value uint64) {
+	m.op, m.key, m.value = op, key, value
+	m.out = pipeline.Outcome{Part: m.c.part.Server(key)}
+}
+
+// Step locates the leaf — by the traverse RPC's completion, or on the first
+// step by a one-sided descent when the decider picks it — and runs the leaf
+// half. A QP error on the RPC blocks the slot for a reconnect; errors of the
+// blocking verbs fail the attempt into the engine's operation-level
+// recovery.
+func (m *machine) Step(comps []rdma.Completion, sink pipeline.Sink) btree.StepResult {
+	srv := m.out.Part
+	var leaf rdma.RemotePtr
+	var err error
+	if comps != nil {
+		leaf, err = m.c.traversed(srv, m.t0, comps[0].Resp, comps[0].Err)
+		if errors.Is(err, rdma.ErrQPError) {
+			return btree.StepResult{Status: btree.StepBlocked, Server: srv, Err: err}
+		}
+	} else if m.c.oneSided(srv) {
+		leaf, err = m.c.traverseOneSided(srv, m.key)
+	} else {
+		return m.Redo(sink)
+	}
+	if err == nil {
+		m.out.Values, m.out.Found, err = m.c.leafOp(srv, m.op, leaf, m.key, m.value)
+	}
+	if err != nil {
+		return btree.StepResult{Status: btree.StepFailed, Err: err}
+	}
+	return btree.StepResult{Status: btree.StepDone}
+}
+
+// Redo posts the traverse RPC; a failed call never executed (DESIGN.md §9),
+// so reposting it is safe.
+func (m *machine) Redo(sink pipeline.Sink) btree.StepResult {
+	if m.c.feed != nil {
+		m.t0 = m.c.pclock.Now()
+	}
+	req := nam.Request{Op: nam.OpTraverse, Key: m.key}
+	sink.PostCall(m.out.Part, m.c.rpc.Encode(m.out.Part, &req))
+	return btree.StepResult{Status: btree.StepRunning}
+}
+
+func (m *machine) Abort(err error) btree.StepResult {
+	return btree.StepResult{Status: btree.StepFailed, Err: err}
+}
+
+func (m *machine) TakePause() bool { return false }
+
+func (m *machine) Outcome() pipeline.Outcome { return m.out }
 
 // SetRecorder directs the client-side (one-sided leaf level) protocol
 // counters into rec. The server-side traversal counters are recorded by the
@@ -400,7 +354,7 @@ func (c *Client) SetRecorder(rec *telemetry.Recorder) { c.rec = rec }
 // engine's memory accesses are decorated into the flight recorder. A nil log
 // disables tracing.
 func (c *Client) SetOpLog(log *obs.Log) {
-	c.log = log
+	c.rpc.Log = log
 	c.leaf.M = obs.WrapMem(c.leaf.M, log)
 	for _, t := range c.upper {
 		t.M = obs.WrapMem(t.M, log)
@@ -420,13 +374,14 @@ func (c *Client) SetDecider(d policy.Decider) {
 		return
 	}
 	if c.upper == nil {
-		l := layout.New(c.cat.PageBytes)
-		c.upper = make([]*btree.Tree, c.cat.Servers)
+		cat := c.rpc.Cat
+		l := layout.New(cat.PageBytes)
+		c.upper = make([]*btree.Tree, cat.Servers)
 		for srv := range c.upper {
-			t := btree.New(l, &btree.EndpointMem{Ep: c.ep, Place: btree.Fixed(srv)}, c.cat.RootWords[srv])
+			t := btree.New(l, &btree.EndpointMem{Ep: c.rpc.Ep, Place: btree.Fixed(srv)}, cat.RootWords[srv])
 			t.SpinBudget = c.leaf.SpinBudget
-			if c.log != nil {
-				t.M = obs.WrapMem(t.M, c.log)
+			if c.rpc.Log != nil {
+				t.M = obs.WrapMem(t.M, c.rpc.Log)
 			}
 			c.upper[srv] = t
 		}
@@ -473,53 +428,12 @@ func (c *Client) record(st btree.Stats) {
 // any operation acks. A nil m disables replication.
 func (c *Client) SetMirrorer(m Mirrorer) {
 	if m == nil {
-		c.mir = nil
+		c.rpc.Mir = nil
 		c.leaf.Repl = nil
 		return
 	}
-	c.mir = m
+	c.rpc.Mir = m
 	c.leaf.Repl = m
-}
-
-func (c *Client) call(server int, req *nam.Request) (*nam.Response, error) {
-	raw, err := c.ep.Call(server, c.encode(server, req))
-	return c.response(server, req.Op, raw, err)
-}
-
-// encode addresses req to server's replica group on replicated deployments
-// and encodes it.
-func (c *Client) encode(server int, req *nam.Request) []byte {
-	if c.cat.Replicated() {
-		req.Group = uint8(server)
-	}
-	return req.Encode()
-}
-
-// response finishes an RPC of type op to server that returned raw or failed
-// with err, serial or pipelined alike.
-func (c *Client) response(server int, op uint8, raw []byte, err error) (*nam.Response, error) {
-	if err != nil {
-		c.log.RPCEvent(server, op, err)
-		return nil, err
-	}
-	resp, err := nam.DecodeResponse(raw)
-	if err == nil && c.mir != nil && len(resp.Dirty) > 0 {
-		// Mirror the handler's committed pages before acking; a failed push
-		// leaves the op un-acked (mirror-before-ack is the acked-data
-		// durability invariant).
-		if perr := c.mir.Push(resp.Dirty); perr != nil {
-			c.log.RPCEvent(server, op, perr)
-			return nil, perr
-		}
-	}
-	if err == nil {
-		err = resp.AsError()
-	}
-	c.log.RPCEvent(server, op, err)
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // oneSided consults the decider: whether this traversal of server's upper
@@ -540,13 +454,13 @@ func (c *Client) traverse(server int, key uint64) (rdma.RemotePtr, error) {
 		t0 = c.pclock.Now()
 	}
 	req := nam.Request{Op: nam.OpTraverse, Key: key}
-	raw, err := c.ep.Call(server, c.encode(server, &req))
+	raw, err := c.rpc.Ep.Call(server, c.rpc.Encode(server, &req))
 	return c.traversed(server, t0, raw, err)
 }
 
 // traversed finishes a traverse RPC to server issued at policy-clock time t0.
 func (c *Client) traversed(server int, t0 int64, raw []byte, err error) (rdma.RemotePtr, error) {
-	resp, err := c.response(server, nam.OpTraverse, raw, err)
+	resp, err := c.rpc.Response(server, nam.OpTraverse, raw, err)
 	if err != nil {
 		return rdma.NullPtr, err
 	}
@@ -562,9 +476,9 @@ func (c *Client) traversed(server int, t0 int64, raw []byte, err error) (rdma.Re
 
 // traverseOneSided walks server's upper levels with fused reads. The descent
 // is read-only (inner-level writes happen only in the owner's install
-// handlers), so it needs no mirroring; under replication c.ep is already the
-// group-routing endpoint and the group root word resolves to the acting
-// primary.
+// handlers), so it needs no mirroring; under replication c.rpc.Ep is
+// already the group-routing endpoint and the group root word resolves to
+// the acting primary.
 func (c *Client) traverseOneSided(server int, key uint64) (rdma.RemotePtr, error) {
 	var t0 int64
 	if c.feed != nil {
@@ -615,16 +529,16 @@ func (c *Client) leafOp(server int, op btree.TraversalOp, leaf rdma.RemotePtr, k
 		c.feed.ObserveLeaf(server, c.pclock.Now()-t0, st.ExposedRTTs, bytes)
 	}
 	if err == nil && sp != nil {
-		_, err = c.call(server, &nam.Request{Op: nam.OpInstall, End: sp.Sep, Left: sp.Left, Right: sp.Right})
+		_, err = c.rpc.Call(server, &nam.Request{Op: nam.OpInstall, End: sp.Sep, Left: sp.Left, Right: sp.Right})
 	}
 	return vals, found, err
 }
 
 // Lookup implements core.Index: RPC traversal + one-sided leaf read.
 func (c *Client) Lookup(key uint64) ([]uint64, error) {
-	c.log.BeginOp(obs.OpLookup, key, c.part.Server(key))
+	c.rpc.Log.BeginOp(obs.OpLookup, key, c.part.Server(key))
 	vals, _, err := c.point(btree.TravLookup, key, 0)
-	c.log.EndOp(err)
+	c.rpc.Log.EndOp(err)
 	return vals, err
 }
 
@@ -642,9 +556,9 @@ func (c *Client) point(op btree.TraversalOp, key, value uint64) ([]uint64, bool,
 // Range implements core.Index: per intersecting partition, RPC traversal to
 // the start leaf, then a one-sided leaf-level scan with head-node prefetch.
 func (c *Client) Range(lo, hi uint64, emit func(k, v uint64) bool) error {
-	c.log.BeginOp(obs.OpRange, lo, -1)
+	c.rpc.Log.BeginOp(obs.OpRange, lo, -1)
 	err := c.doRange(lo, hi, emit)
-	c.log.EndOp(err)
+	c.rpc.Log.EndOp(err)
 	return err
 }
 
@@ -687,16 +601,16 @@ func (c *Client) doRange(lo, hi uint64, emit func(k, v uint64) bool) error {
 // Insert implements core.Index: RPC traversal, one-sided leaf insert/split,
 // and — on split — a second RPC installing the separator upstairs.
 func (c *Client) Insert(key, value uint64) error {
-	c.log.BeginOp(obs.OpInsert, key, c.part.Server(key))
+	c.rpc.Log.BeginOp(obs.OpInsert, key, c.part.Server(key))
 	_, _, err := c.point(btree.TravInsert, key, value)
-	c.log.EndOp(err)
+	c.rpc.Log.EndOp(err)
 	return err
 }
 
 // Delete implements core.Index.
 func (c *Client) Delete(key, value uint64) (bool, error) {
-	c.log.BeginOp(obs.OpDelete, key, c.part.Server(key))
+	c.rpc.Log.BeginOp(obs.OpDelete, key, c.part.Server(key))
 	_, ok, err := c.point(btree.TravDelete, key, value)
-	c.log.EndOp(err)
+	c.rpc.Log.EndOp(err)
 	return ok, err
 }

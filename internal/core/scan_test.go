@@ -45,11 +45,11 @@ func TestRangeEndingOnSplitDuplicates(t *testing.T) {
 			}
 			switch cl.cat.Design {
 			case nam.FineGrained:
-				pc = fine.NewPipelinedClient(cl.fab.Endpoint(), direct.Env{}, cl.cat, 1, 8)
+				pc = fine.NewClient(cl.fab.Endpoint(), direct.Env{}, cl.cat, 1).Pipeline(8)
 			case nam.CoarseGrained:
-				pc = coarse.NewPipelinedClient(cl.fab.Endpoint(), direct.Env{}, cl.cat, 8)
+				pc = coarse.NewClient(cl.fab.Endpoint(), direct.Env{}, cl.cat).Pipeline(8)
 			default:
-				pc = hybrid.NewPipelinedClient(cl.fab.Endpoint(), direct.Env{}, cl.cat, 1, 8)
+				pc = hybrid.NewClient(cl.fab.Endpoint(), direct.Env{}, cl.cat, 1).Pipeline(8)
 			}
 			clients := map[string]func(lo, hi uint64, emit func(k, v uint64) bool) error{
 				"serial":    idx.Range,

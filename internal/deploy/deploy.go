@@ -4,9 +4,9 @@
 //
 //	transport → [telemetry] → [repl.Router] → [retry] → design client → [core.Recover]
 //
-// The design client is serial, or pipelined on pipeline.Engine for every
-// design. DESIGN.md §15 says why each ring sits where it does and which
-// combinations are rejected.
+// Each design has one client type; with operations in flight, its Pipeline
+// engine drives it. DESIGN.md §15 says why each ring sits where it does and
+// which combinations are rejected.
 package deploy
 
 import (
@@ -23,6 +23,7 @@ import (
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/obs"
 	"github.com/namdb/rdmatree/internal/partition"
+	"github.com/namdb/rdmatree/internal/pipeline"
 	"github.com/namdb/rdmatree/internal/policy"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/repl"
@@ -152,21 +153,12 @@ func Connect(ep rdma.Endpoint, design nam.Design, pageBytes int) (*Deployment, e
 	return Attach(cat), nil
 }
 
-// Pipelined is the callback surface of every design's pipelined client.
-type Pipelined interface {
-	Lookup(key uint64, cb func(values []uint64, err error))
-	Insert(key, value uint64, cb func(err error))
-	Delete(key, value uint64, cb func(found bool, err error))
-	Range(lo, hi uint64, emit func(k, v uint64) bool) error
-	Drain()
-	Admit()
-}
-
-// Client is one built client stack, Serial or Pipelined. Cache is a cached
-// client's page cache, for its hit and miss statistics.
+// Client is one built client stack: the design client (Serial), or the
+// engine driving it when operations are in flight (Pipelined). Cache is a
+// cached client's page cache, for its hit and miss statistics.
 type Client struct {
 	Serial    core.Index
-	Pipelined Pipelined
+	Pipelined *pipeline.Engine
 	Cache     *cache.Mem
 }
 
@@ -218,8 +210,9 @@ type ClientOptions struct {
 	MaxOpAttempts int
 	Counters      core.RecoveryCounters
 
-	// Inflight > 0 builds a pipelined client with that many operations in
-	// flight; its engine retries steps and re-runs operations itself.
+	// Inflight > 0 drives the design client through its Pipeline engine
+	// with that many operations in flight; the engine retries steps and
+	// re-runs operations itself.
 	Inflight int
 }
 
@@ -290,10 +283,13 @@ func (d *Deployment) Client(o ClientOptions) (Client, error) {
 		ep = retry.Wrap(ep, o.Retry)
 	}
 	c, cm := d.designClient(ep, o, mir)
-	if p, ok := c.(Pipelined); ok {
-		return Client{Pipelined: p}, nil
+	if o.Inflight > 0 {
+		eng := c.Pipeline(o.Inflight)
+		eng.SetRecorder(o.Telemetry)
+		eng.SetLog(o.Log)
+		return Client{Pipelined: eng}, nil
 	}
-	idx := c.(core.Index)
+	var idx core.Index = c
 	if o.Recover {
 		r := core.Recover(idx, o.MaxOpAttempts, o.Counters)
 		if mir != nil {
@@ -307,18 +303,26 @@ func (d *Deployment) Client(o ClientOptions) (Client, error) {
 	return Client{Serial: idx, Cache: cm}, nil
 }
 
-// designClient builds the serial or pipelined design client over ep with
-// the settings it takes.
-func (d *Deployment) designClient(ep rdma.Endpoint, o ClientOptions, mir *repl.Mirrorer) (c any, cm *cache.Mem) {
-	cat, pipelined := d.Catalog, o.Inflight > 0
-	switch {
-	case cat.Design == nam.CoarseGrained && pipelined:
-		c = coarse.NewPipelinedClient(ep, o.Env, cat, o.Inflight)
-	case cat.Design == nam.CoarseGrained:
-		c = coarse.NewClient(ep, o.Env, cat)
-	case cat.Design == nam.FineGrained && pipelined:
-		c = fine.NewPipelinedClient(ep, o.Env, cat, o.ID, o.Inflight)
-	case cat.Design == nam.FineGrained:
+// designIndex is what the builder needs of every design's client.
+type designIndex interface {
+	core.Index
+	SetOpLog(*obs.Log)
+	Pipeline(inflight int) *pipeline.Engine
+}
+
+// designClient builds the design client over ep with the settings it takes.
+func (d *Deployment) designClient(ep rdma.Endpoint, o ClientOptions, mir *repl.Mirrorer) (designIndex, *cache.Mem) {
+	cat := d.Catalog
+	var c designIndex
+	var cm *cache.Mem
+	switch cat.Design {
+	case nam.CoarseGrained:
+		cc := coarse.NewClient(ep, o.Env, cat)
+		if mir != nil {
+			cc.SetMirrorer(mir)
+		}
+		c = cc
+	case nam.FineGrained:
 		pm := fine.PageMem(ep, cat, o.ID)
 		pm.Unbatched = o.LegacyReads
 		var m btree.Mem = pm
@@ -332,37 +336,29 @@ func (d *Deployment) designClient(ep rdma.Endpoint, o ClientOptions, mir *repl.M
 			}
 			m = cm
 		}
-		c = fine.NewClientOn(m, o.Env, cat)
-	case pipelined:
-		c = hybrid.NewPipelinedClient(ep, o.Env, cat, o.ID, o.Inflight)
-	default:
-		c = hybrid.NewClient(ep, o.Env, cat, o.ID)
-	}
-	if mir != nil {
-		switch c := c.(type) {
-		case *coarse.Client:
-			c.SetMirrorer(mir)
-		case *fine.Client:
-			c.SetReplicator(mir)
-		case *hybrid.Client:
-			c.SetMirrorer(mir)
+		fc := fine.NewClientOn(m, o.Env, cat)
+		if mir != nil {
+			fc.SetReplicator(mir)
 		}
+		fc.SetSpinBudget(d.spin)
+		fc.SetRecorder(o.Telemetry)
+		c = fc
+	default:
+		hc := hybrid.NewClient(ep, o.Env, cat, o.ID)
+		if mir != nil {
+			hc.SetMirrorer(mir)
+		}
+		hc.SetSpinBudget(d.spin)
+		hc.SetRecorder(o.Telemetry)
+		if o.Decider != nil {
+			hc.SetDecider(o.Decider)
+		}
+		if o.Feed != nil {
+			hc.SetSignalFeed(o.Feed, o.FeedClock)
+		}
+		c = hc
 	}
-	if s, ok := c.(interface{ SetSpinBudget(int) }); ok {
-		s.SetSpinBudget(d.spin)
-	}
-	if s, ok := c.(interface{ SetRecorder(*telemetry.Recorder) }); ok {
-		s.SetRecorder(o.Telemetry)
-	}
-	c.(interface{ SetOpLog(*obs.Log) }).SetOpLog(o.Log)
-	if s, ok := c.(interface{ SetDecider(policy.Decider) }); ok && o.Decider != nil {
-		s.SetDecider(o.Decider)
-	}
-	if s, ok := c.(interface {
-		SetSignalFeed(policy.Feed, policy.Clock)
-	}); ok && o.Feed != nil {
-		s.SetSignalFeed(o.Feed, o.FeedClock)
-	}
+	c.SetOpLog(o.Log)
 	return c, cm
 }
 
@@ -405,7 +401,7 @@ func (d *Deployment) RecoverLocks(ep rdma.Endpoint) (int, error) {
 // Scan visits every live entry through ep, used as it is.
 func (d *Deployment) Scan(ep rdma.Endpoint, emit func(k, v uint64) bool) error {
 	c, _ := d.designClient(ep, ClientOptions{Env: rdma.NopEnv{}}, nil)
-	return c.(core.Index).Range(0, ^uint64(0)>>1, emit)
+	return c.Range(0, ^uint64(0)>>1, emit)
 }
 
 // partitionResetter is a Decider with per-partition state (policy.Engine).

@@ -16,6 +16,7 @@ import (
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/obs"
 	"github.com/namdb/rdmatree/internal/partition"
+	"github.com/namdb/rdmatree/internal/pipeline"
 	"github.com/namdb/rdmatree/internal/policy"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
@@ -148,10 +149,12 @@ func TestRejections(t *testing.T) {
 
 // TestFeatureMatrix runs every supported stack through the builder against
 // the in-memory oracle: each design serial and 8 in flight, unreplicated,
-// 8 in flight over the retry ring, and serial at k=2; plus the fine-grained
-// cached and legacy read paths, unreplicated and at k=2. Replicated rows also require every backup to be
-// byte-identical to its primary afterwards — the client mirrored every page
-// it acked.
+// 8 in flight over the retry ring, and serial at k=2; the fine-grained
+// cached and legacy read paths, unreplicated and at k=2; and the hybrid
+// design under a one-sided Decider, serial and 8 in flight, whose Feed must
+// see one-sided traversals only. Replicated rows also require every backup
+// to be byte-identical to its primary afterwards — the client mirrored
+// every page it acked.
 func TestFeatureMatrix(t *testing.T) {
 	type row struct {
 		design   nam.Design
@@ -171,6 +174,11 @@ func TestFeatureMatrix(t *testing.T) {
 			row{nam.FineGrained, k, deploy.ClientOptions{CachePages: 64}},
 			row{nam.FineGrained, k, deploy.ClientOptions{LegacyReads: true}})
 	}
+	for _, n := range []int{0, 8} {
+		rows = append(rows, row{nam.Hybrid, 0, deploy.ClientOptions{
+			Inflight: n, Decider: policy.Static(policy.StrategyOneSided), Feed: &strategyCount{}, FeedClock: &obs.TickClock{},
+		}})
+	}
 	for _, r := range rows {
 		inflight := fmt.Sprint(r.opts.Inflight)
 		if r.opts.Retry != nil {
@@ -178,6 +186,9 @@ func TestFeatureMatrix(t *testing.T) {
 		}
 		name := fmt.Sprintf("%s/k=%d/inflight=%s/cache=%d/legacy=%v",
 			r.design.Name(), r.replicas, inflight, r.opts.CachePages, r.opts.LegacyReads)
+		if r.opts.Decider != nil {
+			name += "/decider=one-sided"
+		}
 		t.Run(name, func(t *testing.T) {
 			fab, dep := build(t, r.design, r.replicas)
 			r.opts.ID, r.opts.Ep, r.opts.Env = 1, fab.Endpoint(), direct.Env{}
@@ -198,6 +209,9 @@ func TestFeatureMatrix(t *testing.T) {
 			if r.opts.CachePages > 0 && cl.Cache.Stats.Hits == 0 {
 				t.Error("the cached client never hit its cache")
 			}
+			if f, ok := r.opts.Feed.(*strategyCount); ok && (f.oneSided == 0 || f.rpc != 0) {
+				t.Errorf("the feed saw %d one-sided and %d RPC traversals under a one-sided decider", f.oneSided, f.rpc)
+			}
 			if r.replicas >= 2 {
 				lay := dep.Catalog.Layout()
 				for h := 0; h < servers; h++ {
@@ -211,6 +225,20 @@ func TestFeatureMatrix(t *testing.T) {
 		})
 	}
 }
+
+// strategyCount is a policy.Feed counting traversals by strategy.
+type strategyCount struct{ oneSided, rpc int }
+
+func (f *strategyCount) ObserveTraverse(_ int, strat policy.Strategy, _ int64, _ int) {
+	if strat == policy.StrategyOneSided {
+		f.oneSided++
+	} else {
+		f.rpc++
+	}
+}
+
+func (f *strategyCount) ObserveLeaf(int, int64, int, int) {}
+func (f *strategyCount) ObserveCPU(int, float64)          {}
 
 // The script: inserts of new keys and of duplicates under preloaded keys,
 // lookups of both, and one range straddling a partition boundary.
@@ -276,7 +304,7 @@ func runSerial(t *testing.T, idx core.Index, ref *core.Reference) {
 	checkRange(t, idx.Range, ref)
 }
 
-func runPipelined(t *testing.T, pc deploy.Pipelined, ref *core.Reference) {
+func runPipelined(t *testing.T, pc *pipeline.Engine, ref *core.Reference) {
 	errs := make([]error, inserts)
 	for i := range errs {
 		i := i

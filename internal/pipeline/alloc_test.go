@@ -7,11 +7,12 @@ import (
 	"github.com/namdb/rdmatree/internal/core/fine"
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
+	"github.com/namdb/rdmatree/internal/pipeline"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
 	"github.com/namdb/rdmatree/internal/telemetry"
 )
 
-func buildPipelined(tb testing.TB, inflight int) *fine.PipelinedClient {
+func buildPipelined(tb testing.TB, inflight int) *pipeline.Engine {
 	tb.Helper()
 	fab := direct.New(4, 256<<20, nam.SuperblockBytes)
 	cat, err := fine.Build(fab.Endpoint(), fine.Options{Layout: layout.New(512)},
@@ -19,7 +20,7 @@ func buildPipelined(tb testing.TB, inflight int) *fine.PipelinedClient {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return fine.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, 0, inflight)
+	return fine.NewClient(fab.Endpoint(), direct.Env{}, cat, 0).Pipeline(inflight)
 }
 
 // TestPipelinedLookupZeroAllocs is the steady-state allocation gate of the
@@ -67,7 +68,8 @@ func TestPipelinedInsertSplitHeavyZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := fine.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, 0, 8)
+	c := fine.NewClient(fab.Endpoint(), direct.Env{}, cat, 0)
+	pc := c.Pipeline(8)
 	bad := 0
 	cb := func(err error) {
 		if err != nil {
@@ -84,6 +86,7 @@ func TestPipelinedInsertSplitHeavyZeroAllocs(t *testing.T) {
 	}
 	pc.Drain()
 	rec := telemetry.NewRecorder(4)
+	c.SetRecorder(rec)
 	pc.SetRecorder(rec)
 	allocs := testing.AllocsPerRun(2000, insert)
 	pc.Drain()

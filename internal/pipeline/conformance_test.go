@@ -10,6 +10,7 @@ import (
 	"github.com/namdb/rdmatree/internal/core/fine"
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
+	"github.com/namdb/rdmatree/internal/pipeline"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
 	"github.com/namdb/rdmatree/internal/rdma/tcpnet"
@@ -49,7 +50,7 @@ func driveSerial(t *testing.T, idx core.Index) string {
 // engine's submission window full within each script section and draining at
 // section boundaries (the serial script's sections are order-dependent:
 // inserts must land before the deletes that target them).
-func drivePipelined(t *testing.T, c *fine.PipelinedClient) string {
+func drivePipelined(t *testing.T, c *pipeline.Engine) string {
 	t.Helper()
 	type getRes struct {
 		vals []uint64
@@ -130,7 +131,7 @@ func TestConformanceDirect(t *testing.T) {
 
 	for _, inflight := range []int{1, 8} {
 		fab, cat := build()
-		pipelined := drivePipelined(t, fine.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, 0, inflight))
+		pipelined := drivePipelined(t, fine.NewClient(fab.Endpoint(), direct.Env{}, cat, 0).Pipeline(inflight))
 		if serial != pipelined {
 			t.Errorf("in-flight %d diverged from serial:\nserial:\n%s\npipelined:\n%s",
 				inflight, serial, pipelined)
@@ -167,7 +168,7 @@ func TestConformanceTCP(t *testing.T) {
 		if inflight == 0 {
 			return driveSerial(t, fine.NewClient(ep, rdma.NopEnv{}, cat, 0))
 		}
-		return drivePipelined(t, fine.NewPipelinedClient(ep, rdma.NopEnv{}, cat, 0, inflight))
+		return drivePipelined(t, fine.NewClient(ep, rdma.NopEnv{}, cat, 0).Pipeline(inflight))
 	}
 
 	serial := run(0)

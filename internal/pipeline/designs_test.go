@@ -12,6 +12,7 @@ import (
 	"github.com/namdb/rdmatree/internal/layout"
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/partition"
+	"github.com/namdb/rdmatree/internal/pipeline"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
 	"github.com/namdb/rdmatree/internal/workload"
 )
@@ -45,7 +46,7 @@ func driveSerialRange(t *testing.T, idx core.Index) string {
 
 // driveAsync mirrors driveSerial through the callback surface, draining at
 // section boundaries.
-func driveAsync(t *testing.T, c deploy.Pipelined) string {
+func driveAsync(t *testing.T, c *pipeline.Engine) string {
 	t.Helper()
 	type getRes struct {
 		vals []uint64
@@ -143,7 +144,7 @@ func TestConformanceCoarse(t *testing.T) {
 	serial := driveSerialRange(t, coarse.NewClient(fab.Endpoint(), direct.Env{}, cat))
 	for _, inflight := range []int{1, 8} {
 		fab, cat := build()
-		got := driveAsync(t, coarse.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, inflight))
+		got := driveAsync(t, coarse.NewClient(fab.Endpoint(), direct.Env{}, cat).Pipeline(inflight))
 		if serial != got {
 			t.Errorf("coarse in-flight %d diverged from serial:\nserial:\n%s\npipelined:\n%s",
 				inflight, serial, got)
@@ -173,7 +174,7 @@ func TestConformanceHybrid(t *testing.T) {
 	serial := driveSerialRange(t, hybrid.NewClient(fab.Endpoint(), direct.Env{}, cat, 0))
 	for _, inflight := range []int{1, 8} {
 		fab, cat := build()
-		got := driveAsync(t, hybrid.NewPipelinedClient(fab.Endpoint(), direct.Env{}, cat, 0, inflight))
+		got := driveAsync(t, hybrid.NewClient(fab.Endpoint(), direct.Env{}, cat, 0).Pipeline(inflight))
 		if serial != got {
 			t.Errorf("hybrid in-flight %d diverged from serial:\nserial:\n%s\npipelined:\n%s",
 				inflight, serial, got)
@@ -203,7 +204,7 @@ func TestReplicatedRoutingMatchesSerial(t *testing.T) {
 	// pipelined client. The builder rejects pipelined clients on replicated
 	// deployments — their inserts would not mirror — so the pipelined one
 	// is made by hand; lookups need no mirroring.
-	build := func(design nam.Design, inflight int) (core.Index, deploy.Pipelined) {
+	build := func(design nam.Design, inflight int) (core.Index, *pipeline.Engine) {
 		fab := direct.New(servers, region, nam.SuperblockBytes)
 		dep, err := deploy.Build(fab, fab.Endpoint(), deploy.Options{
 			Design:    design,
@@ -219,9 +220,9 @@ func TestReplicatedRoutingMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		if design == nam.CoarseGrained {
-			return cl.Serial, coarse.NewPipelinedClient(fab.Endpoint(), direct.Env{}, dep.Catalog, inflight)
+			return cl.Serial, coarse.NewClient(fab.Endpoint(), direct.Env{}, dep.Catalog).Pipeline(inflight)
 		}
-		return cl.Serial, hybrid.NewPipelinedClient(fab.Endpoint(), direct.Env{}, dep.Catalog, 0, inflight)
+		return cl.Serial, hybrid.NewClient(fab.Endpoint(), direct.Env{}, dep.Catalog, 0).Pipeline(inflight)
 	}
 	var keys []uint64
 	for i := 0; i < preload; i += 22 {

@@ -109,9 +109,10 @@ type Config struct {
 	Env rdma.Env
 	// Inflight is the number of operation slots (default DefaultInflight).
 	Inflight int
-	// Index is the design's serial client over Ep, sharing the machines'
-	// cached descent state. Range runs on it, and epoch fences invalidate
-	// through it when it implements core.RootInvalidator.
+	// Index is the design client the engine drives (each design's
+	// Client.Pipeline passes itself): it runs over Ep and shares the
+	// machines' cached descent state. Range runs on it, and epoch fences
+	// invalidate through it when it implements core.RootInvalidator.
 	Index core.Index
 	// NewMachine builds one slot's machine.
 	NewMachine func() Machine
@@ -271,7 +272,7 @@ func (e *Engine) Drain() {
 	}
 }
 
-// Range drains the pipeline and runs the serial client's range scan. Scans
+// Range drains the pipeline and runs the design client's range scan. Scans
 // are not pipelined: a scan is a pointer chain (each leaf names the next),
 // so overlapping its steps with point operations buys no round trips, and
 // the serial scan already prefetches via head nodes.

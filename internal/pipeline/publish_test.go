@@ -96,8 +96,9 @@ func TestPipelinedInsertVerbSequence(t *testing.T) {
 				t.Fatal(err)
 			}
 			log := &verbLog{AsyncEndpoint: rdma.Async(ep)}
-			pc := fine.NewPipelinedClient(log, rdma.NopEnv{}, cat, 0, 8)
-			height, err := pc.Tree().Height(rdma.NopEnv{})
+			c := fine.NewClient(log, rdma.NopEnv{}, cat, 0)
+			pc := c.Pipeline(8)
+			height, err := c.Tree().Height(rdma.NopEnv{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +176,7 @@ type publishDriver func(t *testing.T, ep rdma.Endpoint, cat *nam.Catalog, op str
 
 // pipelinedDriver submits the operation to a pipelined fine client.
 func pipelinedDriver(t *testing.T, ep rdma.Endpoint, cat *nam.Catalog, op string, key, value uint64) (acked int, opErr error) {
-	pc := fine.NewPipelinedClient(ep, rdma.NopEnv{}, cat, 0, 8)
+	pc := fine.NewClient(ep, rdma.NopEnv{}, cat, 0).Pipeline(8)
 	if op == "insert" {
 		pc.Insert(key, value, func(err error) { acked++; opErr = err })
 	} else {

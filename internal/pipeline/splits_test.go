@@ -96,7 +96,7 @@ func (c splitCluster) insertAll(t *testing.T, inflight int) {
 		}
 		return
 	}
-	pc := fine.NewPipelinedClient(c.ep, rdma.NopEnv{}, c.cat, 0, inflight)
+	pc := fine.NewClient(c.ep, rdma.NopEnv{}, c.cat, 0).Pipeline(inflight)
 	acks := make([]int, len(ops))
 	for i, op := range ops {
 		i := i
@@ -220,8 +220,9 @@ func TestSplitsAsStepsMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 	lay := dep.Catalog.Layout()
-	pc := fine.NewPipelinedClient(fab.Endpoint(), rdma.NopEnv{}, dep.Catalog, 0, 8)
-	pc.Tree().Repl = repl.NewMirrorer(repl.NewRouter(fab.Endpoint(), lay, nil, nil), rdma.NopEnv{}, nil)
+	fc := fine.NewClient(fab.Endpoint(), rdma.NopEnv{}, dep.Catalog, 0)
+	fc.SetReplicator(repl.NewMirrorer(repl.NewRouter(fab.Endpoint(), lay, nil, nil), rdma.NopEnv{}, nil))
+	pc := fc.Pipeline(8)
 	for _, op := range splitScript() {
 		op := op
 		pc.Insert(op[0], op[1], func(err error) {
