@@ -7,6 +7,7 @@ import (
 	"github.com/namdb/rdmatree/internal/nam"
 	"github.com/namdb/rdmatree/internal/rdma"
 	"github.com/namdb/rdmatree/internal/rdma/direct"
+	"github.com/namdb/rdmatree/internal/rdma/retry"
 )
 
 // Micro-benchmarks of the hot read paths on the direct (zero-latency)
@@ -104,5 +105,33 @@ func BenchmarkScan(b *testing.B) {
 		if count != 2000 {
 			b.Fatalf("scan [%d,%d] emitted %d", lo, lo+1999, count)
 		}
+	}
+}
+
+// BenchmarkWriteUnlock times one publish of a 1 KB page — the body WRITE and
+// the unlock FAA of Mem.WriteUnlock — over retry(direct): posted shares one
+// doorbell, blocking (a Borrowed surface) runs the pair as two blocking
+// verbs. On a transport without a wire the round trip it saves is free, so
+// the two rows price the post/poll path against the blocking one.
+func BenchmarkWriteUnlock(b *testing.B) {
+	const pageBytes = 1024
+	for _, c := range []struct {
+		name     string
+		borrowed bool
+	}{{"posted", false}, {"blocking", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			f := direct.New(1, 1<<20, nam.SuperblockBytes)
+			m := &EndpointMem{Ep: retry.Wrap(f.Endpoint(), &retry.Policy{}), Borrowed: c.borrowed}
+			p := rdma.MakePtr(0, 1<<16)
+			body := make([]uint64, pageBytes/8-1)
+			if pub := m.WriteUnlock(p, body); pub.WriteErr != nil || pub.UnlockErr != nil {
+				b.Fatal(pub.WriteErr, pub.UnlockErr)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.WriteUnlock(p, body)
+			}
+		})
 	}
 }

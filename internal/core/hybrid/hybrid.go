@@ -454,7 +454,7 @@ func (c *Client) traverse(server int, key uint64) (rdma.RemotePtr, error) {
 		t0 = c.pclock.Now()
 	}
 	req := nam.Request{Op: nam.OpTraverse, Key: key}
-	raw, err := c.rpc.Ep.Call(server, c.rpc.Encode(server, &req))
+	raw, err := c.rpc.Send(server, &req)
 	return c.traversed(server, t0, raw, err)
 }
 

@@ -29,29 +29,44 @@ type Client struct {
 	// group's backups before the operation acks; nil on unreplicated
 	// deployments.
 	Mir nam.DirtyPusher
+
+	buf []byte // Send's request encoding, the caller's again once Ep.Call returns
 }
 
 // Call issues req to server and finishes it.
-func (c *Client) Call(server int, req *nam.Request) (*nam.Response, error) {
-	raw, err := c.Ep.Call(server, c.Encode(server, req))
+func (c *Client) Call(server int, req *nam.Request) (nam.Response, error) {
+	raw, err := c.Send(server, req)
 	return c.Response(server, req.Op, raw, err)
 }
 
-// Encode addresses req to server's replica group on replicated deployments
-// and encodes it.
+// Send addresses req to server, encodes it into the client's own buffer and
+// issues it, returning the raw reply for Response: Call's blocking half.
+func (c *Client) Send(server int, req *nam.Request) ([]byte, error) {
+	c.address(server, req)
+	c.buf = req.AppendTo(c.buf[:0])
+	return c.Ep.Call(server, c.buf)
+}
+
+// Encode addresses req to server and encodes it into a buffer of its own,
+// for a posted call whose buffer lives until its completion.
 func (c *Client) Encode(server int, req *nam.Request) []byte {
+	c.address(server, req)
+	return req.Encode()
+}
+
+// address names server's replica group in req on replicated deployments.
+func (c *Client) address(server int, req *nam.Request) {
 	if c.Cat.Replicated() {
 		req.Group = uint8(server)
 	}
-	return req.Encode()
 }
 
 // Response finishes an RPC of type op to server that returned raw or failed
 // with err, serial or pipelined alike.
-func (c *Client) Response(server int, op uint8, raw []byte, err error) (*nam.Response, error) {
+func (c *Client) Response(server int, op uint8, raw []byte, err error) (nam.Response, error) {
 	if err != nil {
 		c.Log.RPCEvent(server, op, err)
-		return nil, err
+		return nam.Response{}, err
 	}
 	resp, err := nam.DecodeResponse(raw)
 	if err == nil && c.Mir != nil && len(resp.Dirty) > 0 {
@@ -60,7 +75,7 @@ func (c *Client) Response(server int, op uint8, raw []byte, err error) (*nam.Res
 		// durability invariant).
 		if perr := c.Mir.Push(resp.Dirty); perr != nil {
 			c.Log.RPCEvent(server, op, perr)
-			return nil, perr
+			return nam.Response{}, perr
 		}
 	}
 	if err == nil {
@@ -68,9 +83,9 @@ func (c *Client) Response(server int, op uint8, raw []byte, err error) (*nam.Res
 	}
 	c.Log.RPCEvent(server, op, err)
 	if err != nil {
-		return nil, err
+		return nam.Response{}, err
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Options configures an RPC design: coarse.Options and hybrid.Options are

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/namdb/rdmatree/internal/core"
 	"github.com/namdb/rdmatree/internal/core/coarse"
 	"github.com/namdb/rdmatree/internal/core/hybrid"
 	"github.com/namdb/rdmatree/internal/deploy"
@@ -19,13 +20,16 @@ import (
 // the coarse and hybrid handlers, whose tree handles are recycled across
 // calls; the serial clients, bare and over the retry ring (whose posted
 // publish pair must allocate nothing either); and the RPC designs' clients at
-// 8 in flight, per submitted operation. Lookups hit preloaded keys; inserts
-// land in leaves with room, so no split buffer is involved. The handler
+// 8 in flight, per submitted operation. Lookups hit preloaded keys. Inserts
+// walk the whole preload (allocSpec), a few per leaf, so none splits; the
+// split path has a test of its own (TestSplitInsertAllocs). The handler
 // counts are its response encode; the client counts of the RPC designs
 // include their calls'.
 func TestPointOpAllocs(t *testing.T) {
 	lookupKey := func(i int) uint64 { return uint64(i%preload) * step }
-	insertKey := func(i int) uint64 { return lookupKey(i) + 1 }
+	// A stride coprime to preload spreads a check's 1001 inserts over every
+	// leaf of allocSpec: about 5 each, where 15 fit.
+	insertKey := func(i int) uint64 { return lookupKey(i*7) + 1 }
 	check := func(t *testing.T, what string, want float64, f func(i int)) {
 		t.Helper()
 		i := 0
@@ -45,7 +49,7 @@ func TestPointOpAllocs(t *testing.T) {
 	t.Run("coarse-handler", func(t *testing.T) {
 		fab := direct.New(servers, region, nam.SuperblockBytes)
 		srv := coarse.NewServer(fab, coarse.Options{Layout: layout.New(512), Part: partition.NewRangeUniform(servers, keyspace)})
-		if _, err := srv.Build(spec); err != nil {
+		if _, err := srv.Build(allocSpec); err != nil {
 			t.Fatal(err)
 		}
 		h := srv.Handler()
@@ -62,7 +66,7 @@ func TestPointOpAllocs(t *testing.T) {
 	t.Run("hybrid-handler", func(t *testing.T) {
 		fab := direct.New(servers, region, nam.SuperblockBytes)
 		srv := hybrid.NewServer(fab, hybrid.Options{Layout: layout.New(512), Part: partition.NewRangeUniform(servers, keyspace)})
-		if _, err := srv.Build(fab.Endpoint(), spec); err != nil {
+		if _, err := srv.Build(fab.Endpoint(), allocSpec); err != nil {
 			t.Fatal(err)
 		}
 		h := srv.Handler()
@@ -80,13 +84,13 @@ func TestPointOpAllocs(t *testing.T) {
 		inflight       int
 		lookup, insert float64
 	}{
-		{nam.CoarseGrained, false, 0, 4, 3},
-		{nam.Hybrid, false, 0, 4, 3},
+		{nam.CoarseGrained, false, 0, 2, 1},
+		{nam.Hybrid, false, 0, 2, 1},
 		{nam.FineGrained, false, 0, 0, 0},
-		{nam.Hybrid, true, 0, 4, 3},
+		{nam.Hybrid, true, 0, 2, 1},
 		{nam.FineGrained, true, 0, 0, 0},
-		{nam.CoarseGrained, false, 8, 4, 3},
-		{nam.Hybrid, false, 8, 4, 3},
+		{nam.CoarseGrained, false, 8, 3, 2},
+		{nam.Hybrid, false, 8, 3, 2},
 	} {
 		name := c.design.Name()
 		var pol *retry.Policy
@@ -97,7 +101,7 @@ func TestPointOpAllocs(t *testing.T) {
 			name += fmt.Sprintf("/inflight=%d", c.inflight)
 		}
 		t.Run(name, func(t *testing.T) {
-			fab, dep := build(t, c.design, 0)
+			fab, dep := buildSpec(t, c.design, 0, allocSpec)
 			cl, err := dep.Client(deploy.ClientOptions{Ep: fab.Endpoint(), Env: direct.Env{}, Retry: pol, Inflight: c.inflight})
 			if err != nil {
 				t.Fatal(err)
@@ -137,3 +141,7 @@ func TestPointOpAllocs(t *testing.T) {
 		})
 	}
 }
+
+// allocSpec is spec's preload at half fill: every leaf has room for the
+// inserts TestPointOpAllocs spreads over it.
+var allocSpec = core.BuildSpec{N: preload, At: spec.At, Fill: 0.5, HeadEvery: spec.HeadEvery}

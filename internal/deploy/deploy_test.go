@@ -40,6 +40,12 @@ var spec = core.BuildSpec{
 
 func build(t *testing.T, design nam.Design, replicas int) (*direct.Fabric, *deploy.Deployment) {
 	t.Helper()
+	return buildSpec(t, design, replicas, spec)
+}
+
+// buildSpec is build over a bulk load of its own.
+func buildSpec(t *testing.T, design nam.Design, replicas int, spec core.BuildSpec) (*direct.Fabric, *deploy.Deployment) {
+	t.Helper()
 	fab := direct.New(servers, region, nam.SuperblockBytes)
 	dep, err := deploy.Build(fab, fab.Endpoint(), deploy.Options{
 		Design:    design,

@@ -44,6 +44,21 @@ func TestRequestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestRequestAppendTo pins the caller-owned encoding the blocking RPC path
+// uses: AppendTo extends dst with exactly Encode's bytes, and into a buffer
+// with room it allocates nothing.
+func TestRequestAppendTo(t *testing.T) {
+	r := Request{Op: OpInstall, Key: 1, End: 55, Value: 9, Left: rdma.MakePtr(1, 512), Right: rdma.MakePtr(2, 1024), Group: 3}
+	b := r.AppendTo([]byte{0xee})
+	if want := append([]byte{0xee}, r.Encode()...); string(b) != string(want) {
+		t.Fatalf("AppendTo = %x, want %x", b, want)
+	}
+	buf := make([]byte, 0, requestBytes)
+	if a := testing.AllocsPerRun(100, func() { buf = r.AppendTo(buf[:0]) }); a != 0 {
+		t.Errorf("AppendTo into a buffer with room allocates %v times, want 0", a)
+	}
+}
+
 func TestDecodeRequestShort(t *testing.T) {
 	if _, err := DecodeRequest([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short request accepted")

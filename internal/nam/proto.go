@@ -121,17 +121,22 @@ type Request struct {
 	Group uint8
 }
 
-// Encode serializes r.
-func (r *Request) Encode() []byte {
-	buf := make([]byte, 1+5*8+1)
-	buf[0] = r.Op
-	order.PutUint64(buf[1:], r.Key)
-	order.PutUint64(buf[9:], r.End)
-	order.PutUint64(buf[17:], r.Value)
-	order.PutUint64(buf[25:], uint64(r.Left))
-	order.PutUint64(buf[33:], uint64(r.Right))
-	buf[41] = r.Group
-	return buf
+// requestBytes is the size of an encoded Request.
+const requestBytes = 1 + 5*8 + 1
+
+// Encode serializes r into a buffer of its own.
+func (r *Request) Encode() []byte { return r.AppendTo(make([]byte, 0, requestBytes)) }
+
+// AppendTo appends r's encoding to dst and returns the extended buffer, so
+// a caller that owns a buffer encodes without allocating.
+func (r *Request) AppendTo(dst []byte) []byte {
+	dst = append(dst, r.Op)
+	dst = order.AppendUint64(dst, r.Key)
+	dst = order.AppendUint64(dst, r.End)
+	dst = order.AppendUint64(dst, r.Value)
+	dst = order.AppendUint64(dst, uint64(r.Left))
+	dst = order.AppendUint64(dst, uint64(r.Right))
+	return append(dst, r.Group)
 }
 
 // DecodeRequest parses a request. The Group byte is an appended extension:
@@ -149,7 +154,7 @@ func DecodeRequest(b []byte) (Request, error) {
 		Left:  rdma.RemotePtr(order.Uint64(b[25:])),
 		Right: rdma.RemotePtr(order.Uint64(b[33:])),
 	}
-	if len(b) >= 1+5*8+1 {
+	if len(b) >= requestBytes {
 		r.Group = b[41]
 	}
 	return r, nil

@@ -1,5 +1,8 @@
 // Package direct implements the rdma verbs API as immediate in-process
-// operations backed by real atomics.
+// operations on the servers' rdma.Region memory: atomic verbs are real
+// atomics, and a multi-word READ or WRITE is the region's bulk copy — one
+// memory move, not atomic, validated by the protocol against the page's
+// version word like a NIC's DMA (per-word atomics under the race detector).
 //
 // It has no performance model: verbs complete instantly on the calling
 // goroutine and RPC handlers execute on the caller. It exists so the index

@@ -14,12 +14,21 @@ import (
 //
 // Memory is word-addressed internally ([]uint64) and byte-addressed at the
 // API (offsets must be 8-byte aligned), mirroring the constraint that RDMA
-// atomics operate on aligned 8-byte words. Every word access is atomic, so
-// the region provides exactly the consistency a real RDMA NIC provides:
-// CAS/FETCH_AND_ADD are atomic, individual 8-byte words never tear, but
-// multi-word READs and WRITEs are *not* atomic with respect to concurrent
-// writers — the index protocols must (and do) handle that with version
-// checks, as in the paper.
+// atomics operate on aligned 8-byte words. The region provides the
+// consistency a real RDMA NIC provides:
+//   - Load, Store, CompareAndSwap, FetchAdd and one-word Read/Write (version
+//     and root words) are atomic;
+//   - a multi-word Read, Write, AppendLE or WriteLE, and Zero, move the range
+//     as one memory move, the way a NIC moves a page in one DMA: it is *not*
+//     atomic with respect to concurrent writers, and a word of it that races
+//     with a writer may be torn. A multi-word read loads its first word
+//     atomically before the rest, so a READ that starts at a page's version
+//     word and a version re-read after it bracket the whole copy: the index
+//     protocols validate every multi-word READ that way, as in the paper's
+//     Listing 2, and must (and do) retry a copy that fails it.
+//
+// Under the race detector, and on hosts that may reorder plain loads, the
+// bulk accessors fall back to per-word atomics (see bulkMoves).
 //
 // A region lives either on the Go heap (NewRegion) or over a memory mapping
 // (RegionOver, NewMappedRegion). A mapped region is returned to the system by
@@ -105,12 +114,18 @@ func (r *Region) Contains(off uint64, words int) bool {
 
 // AppendLE appends the given number of words starting at byte offset off to
 // dst as little-endian bytes, the wire image of a READ, without a staging
-// []uint64.
+// []uint64. Like Read, it loads the first word before the rest.
 func (r *Region) AppendLE(dst []byte, off uint64, words int) []byte {
 	w := r.checkRange(off, words)
+	src := r.words[w : w+words]
 	dst = slices.Grow(dst, 8*words)
-	for i := 0; i < words; i++ {
-		dst = binary.LittleEndian.AppendUint64(dst, atomic.LoadUint64(&r.words[w+i]))
+	if bulkMoves && littleEndian && words > 1 {
+		dst = binary.LittleEndian.AppendUint64(dst, atomic.LoadUint64(&src[0]))
+		dst = append(dst, wordBytes(src[1:])...)
+	} else {
+		for i := range src {
+			dst = binary.LittleEndian.AppendUint64(dst, atomic.LoadUint64(&src[i]))
+		}
 	}
 	runtime.KeepAlive(r)
 	return dst
@@ -120,29 +135,66 @@ func (r *Region) AppendLE(dst []byte, off uint64, words int) []byte {
 // starting at byte offset off: AppendLE's inverse, for a WRITE's wire image.
 func (r *Region) WriteLE(off uint64, src []byte) {
 	w := r.checkRange(off, len(src)/8)
-	for i := 0; i < len(src)/8; i++ {
-		atomic.StoreUint64(&r.words[w+i], binary.LittleEndian.Uint64(src[8*i:]))
+	dst := r.words[w : w+len(src)/8]
+	if bulkMoves && littleEndian && len(dst) > 1 {
+		copy(wordBytes(dst), src)
+	} else {
+		for i := range dst {
+			atomic.StoreUint64(&dst[i], binary.LittleEndian.Uint64(src[8*i:]))
+		}
 	}
 	runtime.KeepAlive(r)
 }
 
-// Read copies len(dst) words starting at byte offset off into dst.
+// Read copies len(dst) words starting at byte offset off into dst. It loads
+// the first word — a page copy's version word — atomically and before the
+// rest, as a NIC's ascending DMA would, so a version re-read after the copy
+// brackets every word of it.
 func (r *Region) Read(off uint64, dst []uint64) {
 	w := r.checkRange(off, len(dst))
-	for i := range dst {
-		dst[i] = atomic.LoadUint64(&r.words[w+i])
+	if bulkMoves && len(dst) > 1 {
+		dst[0] = atomic.LoadUint64(&r.words[w])
+		copy(dst[1:], r.words[w+1:])
+	} else {
+		for i := range dst {
+			dst[i] = atomic.LoadUint64(&r.words[w+i])
+		}
 	}
 	runtime.KeepAlive(r)
 }
 
-// Write copies src into the region starting at byte offset off.
+// Write copies src into the region starting at byte offset off. A one-word
+// Write is atomic.
 func (r *Region) Write(off uint64, src []uint64) {
 	w := r.checkRange(off, len(src))
-	for i, v := range src {
-		atomic.StoreUint64(&r.words[w+i], v)
+	if bulkMoves && len(src) > 1 {
+		copy(r.words[w:], src)
+	} else {
+		for i, v := range src {
+			atomic.StoreUint64(&r.words[w+i], v)
+		}
 	}
 	runtime.KeepAlive(r)
 }
+
+// bulkMoves selects one memory move per bulk access. It holds outside the
+// race detector (which would report the races the protocol tolerates by
+// design, so `go test -race` keeps checking the per-word atomic paths) on
+// 64-bit hosts whose atomic load is a plain load (amd64, s390x): they keep
+// loads in program order, so a reader's version re-check after a bulk copy
+// still reads after every word of it, as the paper's Listing 2 needs. Other
+// hosts, and big-endian ones for the little-endian wire image, keep the
+// per-word atomics.
+const bulkMoves = !raceEnabled && (runtime.GOARCH == "amd64" || runtime.GOARCH == "s390x")
+
+// wordBytes views words as the bytes that hold them, in host byte order.
+func wordBytes(words []uint64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 8*len(words))
+}
+
+// littleEndian reports whether the host stores a word's low byte first, so
+// a byte view of the words is their little-endian wire image.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // Load atomically reads the word at byte offset off.
 func (r *Region) Load(off uint64) uint64 {
@@ -184,11 +236,15 @@ func (r *Region) FetchAdd(off uint64, delta uint64) uint64 {
 
 // Zero clears the whole region, modeling a server whose registered memory
 // was lost on restart: the new incarnation re-registers a fresh (zeroed)
-// region at the same address range. Word-at-a-time atomic stores, so
-// concurrent readers see zeros or old words but never torn values.
+// region at the same address range. Like a multi-word WRITE it is one
+// memory move, not atomic with respect to concurrent accesses.
 func (r *Region) Zero() {
-	for w := range r.words {
-		atomic.StoreUint64(&r.words[w], 0)
+	if bulkMoves {
+		clear(r.words)
+	} else {
+		for w := range r.words {
+			atomic.StoreUint64(&r.words[w], 0)
+		}
 	}
 	runtime.KeepAlive(r)
 }

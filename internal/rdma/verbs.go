@@ -38,7 +38,8 @@ type Endpoint interface {
 	// Free returns the n-byte block at p to its server's allocator.
 	Free(p RemotePtr, n int) error
 	// Call sends req to the given server's shared receive queue and blocks
-	// until the response arrives.
+	// until the response arrives. req belongs to the caller again once Call
+	// returns: an implementation copies or decodes it, and never keeps it.
 	Call(server int, req []byte) ([]byte, error)
 	// NumServers returns the number of memory servers in the cluster.
 	NumServers() int
