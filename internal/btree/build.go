@@ -48,114 +48,135 @@ type levelEntry struct {
 	ptr  rdma.RemotePtr
 }
 
+// buildBatch is the number of finished pages Build queues before writing
+// them with one Mem.WritePages, which over one-sided verbs is one doorbell.
+// On tcpnet the batch's replies are a 5-byte frame per WRITE, a few hundred
+// bytes in all: far below the 64 KB buffers whose overflow, with both ends
+// writing before they read, could stall a batch (tcpnet's package comment).
+const buildBatch = 64
+
+// pageWriter queues Build's finished pages and writes them buildBatch at a
+// time, recycling the written pages' buffers for the next ones.
+type pageWriter struct {
+	m     Mem
+	l     layout.Layout
+	ptrs  []rdma.RemotePtr
+	pages [][]uint64 // page images of ptrs, queued
+	spare [][]uint64 // buffers of written pages
+}
+
+// node returns a page buffer for the next page, a written page's if one is
+// spare. Its caller starts it with an Init method, which zeroes the whole
+// page: unused slots are part of the page image too.
+func (w *pageWriter) node() layout.Node {
+	if k := len(w.spare); k > 0 {
+		buf := w.spare[k-1]
+		w.spare = w.spare[:k-1]
+		return w.l.Wrap(buf)
+	}
+	return w.l.NewNode()
+}
+
+// put queues the finished page n for p, writing the queue once it is full.
+func (w *pageWriter) put(p rdma.RemotePtr, n layout.Node) error {
+	w.ptrs = append(w.ptrs, p)
+	w.pages = append(w.pages, n.W)
+	if len(w.ptrs) < buildBatch {
+		return nil
+	}
+	return w.flush()
+}
+
+// flush writes every queued page.
+func (w *pageWriter) flush() error {
+	if len(w.ptrs) == 0 {
+		return nil
+	}
+	err := w.m.WritePages(w.ptrs, w.pages)
+	w.spare = append(w.spare, w.pages...)
+	w.ptrs, w.pages = w.ptrs[:0], w.pages[:0]
+	return err
+}
+
+// innerEnd returns the end of the inner node that starts at entry start of
+// a level with total entries, target of them per node.
+func innerEnd(start, total, target int) int {
+	end := min(start+target, total)
+	// Avoid a trailing 1-entry node: borrow from this chunk.
+	if rem := total - end; rem == 1 && end-start > 1 {
+		end--
+	}
+	return end
+}
+
 // Build bulk-loads a tree with n items; at(i) must return items in
 // non-decreasing key order. The tree is built bottom-up directly through Mem
 // (an untimed setup path on the simulated fabric) and published at
 // t.RootWord. Build must not race with other accessors.
+//
+// Each level is reserved with one Mem.AllocPages call before it is filled,
+// and every page is written exactly once, with its final contents, in
+// batches of buildBatch pages through Mem.WritePages; the last batch lands
+// before the root word is published.
 func (t *Tree) Build(env rdma.Env, cfg BuildConfig, n int, at func(i int) (k layout.Key, v uint64)) (BuildStats, error) {
 	var bs BuildStats
 	bs.Items = n
 	if n == 0 {
 		return bs, t.Init(env)
 	}
+	w := pageWriter{
+		m:     t.M,
+		l:     t.L,
+		ptrs:  make([]rdma.RemotePtr, 0, buildBatch),
+		pages: make([][]uint64, 0, buildBatch),
+		spare: make([][]uint64, 0, buildBatch),
+	}
+
+	// The leaf chain is L1..Lh, H1, L(h+1)..L(2h), H2, ... (h = HeadEvery):
+	// head node Hi follows group i and announces the leaves of group i+1, and
+	// a group that ends the input leaves a last head announcing nothing. The
+	// level is reserved in chain order, so each page's right sibling is the
+	// next reserved page and a head's leaves are known before they are
+	// filled.
 	leafTarget := cfg.fillTarget(t.L.LeafCap)
-
-	var entries []levelEntry // (highKey, ptr) per leaf, for the parent level
-
-	// Streaming leaf construction with one buffered complete leaf, so each
-	// page is written exactly once with its final right-sibling pointer.
-	// The chain is L1..Ln, H1, L(n+1)..L(2n), H2, ... where head node Hi
-	// follows group i and announces the leaves of group i+1. A head is
-	// therefore *deferred*: allocated (and linked) at its group boundary,
-	// filled as the next group's leaves are allocated, and written only once
-	// that group has completed.
-	var pending layout.Node // complete leaf awaiting its right-sibling ptr
-	var pendingPtr rdma.RemotePtr
-
-	var head layout.Node // deferred head node
-	var headPtr rdma.RemotePtr
-	var headFirst rdma.RemotePtr // first leaf the deferred head announces
-	leavesInGroup := 0
-
-	flushPending := func(next rdma.RemotePtr) error {
-		if pendingPtr.IsNull() {
-			return nil
-		}
-		pending.SetRight(next)
-		if err := t.M.WriteWords(pendingPtr, pending.W); err != nil {
-			return err
-		}
-		pendingPtr = rdma.NullPtr
-		return nil
+	bs.Leaves = (n + leafTarget - 1) / leafTarget
+	if cfg.HeadEvery > 0 {
+		bs.Heads = bs.Leaves / cfg.HeadEvery
 	}
-	writeDeferredHead := func() error {
-		if headPtr.IsNull() {
-			return nil
-		}
-		head.SetRight(headFirst) // null if the head announces nothing
-		if err := t.M.WriteWords(headPtr, head.W); err != nil {
-			return err
-		}
-		headPtr = rdma.NullPtr
-		headFirst = rdma.NullPtr
-		return nil
-	}
-
-	cur := t.L.NewNode()
-	cur.InitLeaf()
-	curPtr, err := t.M.AllocPage(0, t.L.PageBytes)
-	if err != nil {
+	chain := make([]rdma.RemotePtr, bs.Leaves+bs.Heads)
+	if err := t.M.AllocPages(0, t.L.PageBytes, chain); err != nil {
 		return bs, err
 	}
-	startLeaf := func() error {
-		var err error
-		curPtr, err = t.M.AllocPage(0, t.L.PageBytes)
-		if err != nil {
-			return err
+	entries := make([]levelEntry, 0, bs.Leaves) // (highKey, ptr) per leaf, for the parent level
+	pos := 0                                    // chain index of the next page to finish
+	finish := func(nd layout.Node) error {
+		if pos+1 < len(chain) {
+			nd.SetRight(chain[pos+1])
 		}
-		cur = t.L.NewNode()
-		cur.InitLeaf()
-		// Announce the new leaf in the deferred head node.
-		if !headPtr.IsNull() {
-			if head.Count() == 0 {
-				headFirst = curPtr
-			}
-			head.HeadAppend(curPtr)
-		}
-		return nil
+		pos++
+		return w.put(chain[pos-1], nd)
 	}
-	closeLeaf := func() error {
-		// cur is complete: fence = its last key; link chain.
-		cur.SetHighKey(cur.LeafKey(cur.Count() - 1))
-		entries = append(entries, levelEntry{cur.HighKey(), curPtr})
-		bs.Leaves++
-		if err := flushPending(curPtr); err != nil {
+	// closeLeaf finishes leaf cur with fence high, and the head that follows
+	// it at a group boundary.
+	closeLeaf := func(cur layout.Node, high layout.Key) error {
+		cur.SetHighKey(high)
+		entries = append(entries, levelEntry{high, chain[pos]})
+		if err := finish(cur); err != nil {
 			return err
 		}
-		pending, pendingPtr = cur, curPtr
-		leavesInGroup++
-		if cfg.HeadEvery > 0 && leavesInGroup >= cfg.HeadEvery {
-			leavesInGroup = 0
-			// The previous deferred head has seen its whole group; write it.
-			if err := writeDeferredHead(); err != nil {
-				return err
-			}
-			// Start a new deferred head following cur.
-			var err error
-			headPtr, err = t.M.AllocPage(0, t.L.PageBytes)
-			if err != nil {
-				return err
-			}
-			head = t.L.NewNode()
-			head.InitHead()
-			if err := flushPending(headPtr); err != nil {
-				return err
-			}
-			bs.Heads++
+		if cfg.HeadEvery == 0 || len(entries)%cfg.HeadEvery != 0 {
+			return nil
 		}
-		return nil
+		head := w.node()
+		head.InitHead()
+		for _, p := range chain[pos+1 : pos+1+min(cfg.HeadEvery, bs.Leaves-len(entries))] {
+			head.HeadAppend(p)
+		}
+		return finish(head)
 	}
 
+	cur := w.node()
+	cur.InitLeaf()
 	for i := 0; i < n; i++ {
 		k, v := at(i)
 		if k == layout.MaxKey {
@@ -165,93 +186,63 @@ func (t *Tree) Build(env rdma.Env, cfg BuildConfig, n int, at func(i int) (k lay
 			return bs, fmt.Errorf("btree: Build input not sorted at item %d", i)
 		}
 		if cur.Count() >= leafTarget {
-			if err := closeLeaf(); err != nil {
+			if err := closeLeaf(cur, cur.LeafKey(cur.Count()-1)); err != nil {
 				return bs, err
 			}
-			if err := startLeaf(); err != nil {
-				return bs, err
-			}
+			cur = w.node()
+			cur.InitLeaf()
 		}
 		cur.LeafAppend(k, v)
 	}
-	if err := closeLeaf(); err != nil {
-		return bs, err
-	}
-	// Rightmost leaf: +inf fence, end of chain. closeLeaf may have handed
-	// the chain tail to a fresh deferred head (group boundary at input end);
-	// otherwise the last leaf is still pending.
-	entries[len(entries)-1].high = layout.MaxKey
-	if !pendingPtr.IsNull() {
-		pending.SetHighKey(layout.MaxKey)
-		if err := flushPending(rdma.NullPtr); err != nil {
-			return bs, err
-		}
-	} else {
-		// The last leaf was already written pointing at the deferred head;
-		// rewrite it with the +inf fence preserved.
-		last := entries[len(entries)-1].ptr
-		buf := make([]uint64, t.L.Words)
-		if err := t.M.ReadWords(last, buf); err != nil {
-			return bs, err
-		}
-		ln := t.L.Wrap(buf)
-		ln.SetHighKey(layout.MaxKey)
-		//rdmavet:allow occvalidate -- bulk build is single-writer on a quiesced tree; no concurrent writer exists to tear this copy
-		if err := t.M.WriteWords(last, ln.W); err != nil {
-			return bs, err
-		}
-	}
-	// A dangling deferred head announces nothing and terminates the chain.
-	if err := writeDeferredHead(); err != nil {
+	// The rightmost leaf fences +inf.
+	if err := closeLeaf(cur, layout.MaxKey); err != nil {
 		return bs, err
 	}
 
-	// Inner levels, bottom-up.
+	// Inner levels, bottom-up. A level's entries replace its children's in
+	// place: node j is built from entries at or after j before it writes
+	// entries[j].
 	innerTarget := cfg.fillTarget(t.L.InnerCap)
 	level := 1
 	for len(entries) > 1 {
 		if level > 0xff {
 			return bs, fmt.Errorf("btree: tree too tall")
 		}
-		var next []levelEntry
-		var prev layout.Node
-		var prevInnerPtr rdma.RemotePtr
-		for start := 0; start < len(entries); {
-			end := start + innerTarget
-			if end > len(entries) {
-				end = len(entries)
-			}
-			// Avoid a trailing 1-entry node: borrow from this chunk.
-			if rem := len(entries) - end; rem == 1 && end-start > 1 {
-				end--
-			}
-			node := t.L.NewNode()
+		nodes := 0
+		for start := 0; start < len(entries); start = innerEnd(start, len(entries), innerTarget) {
+			nodes++
+		}
+		ptrs := chain[:nodes]
+		if err := t.M.AllocPages(level, t.L.PageBytes, ptrs); err != nil {
+			return bs, err
+		}
+		start := 0
+		for j, p := range ptrs {
+			end := innerEnd(start, len(entries), innerTarget)
+			node := w.node()
 			node.InitInner(level)
 			for _, e := range entries[start:end] {
 				node.InnerAppend(e.high, e.ptr)
 			}
 			node.SetHighKey(node.InnerKey(node.Count() - 1))
-			ptr, err := t.M.AllocPage(level, t.L.PageBytes)
-			if err != nil {
+			if j > 0 {
+				node.SetLeft(ptrs[j-1])
+			}
+			if j+1 < nodes {
+				node.SetRight(ptrs[j+1])
+			}
+			entries[j] = levelEntry{node.HighKey(), p}
+			if err := w.put(p, node); err != nil {
 				return bs, err
 			}
-			if !prevInnerPtr.IsNull() {
-				prev.SetRight(ptr)
-				node.SetLeft(prevInnerPtr)
-				if err := t.M.WriteWords(prevInnerPtr, prev.W); err != nil {
-					return bs, err
-				}
-			}
-			prev, prevInnerPtr = node, ptr
-			next = append(next, levelEntry{node.HighKey(), ptr})
-			bs.Inner++
 			start = end
 		}
-		if err := t.M.WriteWords(prevInnerPtr, prev.W); err != nil {
-			return bs, err
-		}
-		entries = next
+		entries = entries[:nodes]
+		bs.Inner += nodes
 		level++
+	}
+	if err := w.flush(); err != nil {
+		return bs, err
 	}
 	rootPtr := entries[0].ptr
 	if err := t.M.WriteWords(t.RootWord, []uint64{uint64(rootPtr)}); err != nil {
@@ -368,6 +359,7 @@ func (t *Tree) RebuildHeads(env rdma.Env, every int) (retired []rdma.RemotePtr, 
 		return retired, st, err
 	}
 	var group []rdma.RemotePtr // leaves of the current group, in order
+	var fresh [1]rdma.RemotePtr
 	buf = nil
 	for !p.IsNull() {
 		n, _, err := t.readNode(env, &st, p, buf)
@@ -380,10 +372,10 @@ func (t *Tree) RebuildHeads(env rdma.Env, every int) (retired []rdma.RemotePtr, 
 		if len(group) == every+1 || next.IsNull() {
 			// group[0] is the leaf the head follows; group[1:] are announced.
 			if len(group) > 2 {
-				hp, err := t.M.AllocPage(0, t.L.PageBytes)
-				if err != nil {
+				if err := t.M.AllocPages(0, t.L.PageBytes, fresh[:]); err != nil {
 					return retired, st, err
 				}
+				hp := fresh[0]
 				st.ExposedRTTs++
 				h := t.L.NewNode()
 				h.InitHead()

@@ -62,11 +62,16 @@ type Mem interface {
 	// FetchAdd atomically adds delta to the word at p, returning the prior
 	// value.
 	FetchAdd(p rdma.RemotePtr, delta uint64) (uint64, error)
-	// AllocPage allocates an n-byte page for a node at the given level (0 =
-	// leaf). The level lets placement policies distribute nodes — the
-	// fine-grained design places pages round-robin across all memory
-	// servers, the coarse-grained design keeps them on one server.
-	AllocPage(level int, n int) (rdma.RemotePtr, error)
+	// AllocPages allocates len(ps) n-byte pages for nodes at the given level
+	// (0 = leaf) and stores their pointers in ps, in order. The level lets
+	// placement policies distribute nodes — the fine-grained design places
+	// pages round-robin across all memory servers, the coarse-grained design
+	// keeps them on one server. Each page lands exactly where len(ps)
+	// consecutive one-page calls would put it: same server, same offset,
+	// same allocator watermark. Splits ask for one page; a bulk load
+	// reserves a whole tree level in one call, which over one-sided verbs
+	// costs one RDMA_ALLOC per server instead of one per page.
+	AllocPages(level int, n int, ps []rdma.RemotePtr) error
 	// FreePage returns a page to its allocator.
 	FreePage(p rdma.RemotePtr, n int) error
 	// ReadPages reads the pages at ps into dst and then re-reads each
@@ -76,6 +81,13 @@ type Mem interface {
 	// versions[i] corresponds to ps[i]; a prefetched copy is consistent
 	// iff versions[i] == dst[i][0] and the version is unlocked.
 	ReadPages(ps []rdma.RemotePtr, dst [][]uint64, versions []uint64) error
+	// WritePages copies srcs[i] to ps[i] for every i: the write twin of
+	// ReadPages, through which a bulk load streams its finished pages. On
+	// an endpoint with a post/poll surface all len(ps) WRITEs share one
+	// doorbell and one exposed round trip. It returns the first failure in
+	// posting order; under the never-executed fault model the other WRITEs
+	// of the batch may still have landed.
+	WritePages(ps []rdma.RemotePtr, srcs [][]uint64) error
 }
 
 // Publish is the outcome of Mem.WriteUnlock, one result per verb. Under the
@@ -164,13 +176,10 @@ func (m LocalMem) FetchAdd(p rdma.RemotePtr, delta uint64) (uint64, error) {
 	return m.Srv.Region.FetchAdd(m.check(p), delta), nil
 }
 
-// AllocPage implements Mem; pages are always placed on the local server.
-func (m LocalMem) AllocPage(level int, n int) (rdma.RemotePtr, error) {
-	off, err := m.Srv.Alloc.Alloc(n)
-	if err != nil {
-		return rdma.NullPtr, err
-	}
-	return rdma.MakePtr(m.Srv.ID, off), nil
+// AllocPages implements Mem; pages are always placed on the local server,
+// one allocator call each (a local call has no round trip to save).
+func (m LocalMem) AllocPages(level int, n int, ps []rdma.RemotePtr) error {
+	return allocLocal(m.Srv, n, ps)
 }
 
 // FreePage implements Mem.
@@ -185,6 +194,27 @@ func (m LocalMem) ReadPages(ps []rdma.RemotePtr, dst [][]uint64, versions []uint
 		off := m.check(p)
 		m.Srv.Region.Read(off, dst[i])
 		versions[i] = m.Srv.Region.Load(off)
+	}
+	return nil
+}
+
+// WritePages implements Mem.
+func (m LocalMem) WritePages(ps []rdma.RemotePtr, srcs [][]uint64) error {
+	for i, p := range ps {
+		m.Srv.Region.Write(m.check(p), srcs[i])
+	}
+	return nil
+}
+
+// allocLocal fills ps with n-byte pages of srv's own allocator, addressed
+// at srv.
+func allocLocal(srv *rdma.Server, n int, ps []rdma.RemotePtr) error {
+	for i := range ps {
+		off, err := srv.Alloc.Alloc(n)
+		if err != nil {
+			return err
+		}
+		ps[i] = rdma.MakePtr(srv.ID, off)
 	}
 	return nil
 }
@@ -239,6 +269,23 @@ type EndpointMem struct {
 	batchPtrs []rdma.RemotePtr
 	batchDst  [][]uint64
 	comps     []rdma.Completion
+
+	// AllocPages scratch, per server: the pages still to reserve and the
+	// open extent being carved.
+	want []int
+	ext  []extent
+}
+
+// maxExtentBytes bounds one RDMA_ALLOC of EndpointMem.AllocPages: a
+// server's share of a larger reservation is taken in several extents. 1 GiB
+// fits the u32 size field of tcpnet's alloc frame, the narrowest of the
+// transports, with room to spare.
+const maxExtentBytes = 1 << 30
+
+// extent is the uncarved tail of one allocated multi-page block.
+type extent struct {
+	next  rdma.RemotePtr
+	pages int
 }
 
 var _ Mem = (*EndpointMem)(nil)
@@ -290,7 +337,7 @@ func (m *EndpointMem) WriteWords(p rdma.RemotePtr, src []uint64) error {
 // a failed WRITE flushes the FAA behind it unexecuted, as an RC QP in the
 // error state would.
 func (m *EndpointMem) WriteUnlock(p rdma.RemotePtr, body []uint64) Publish {
-	if a, ok := m.Ep.(rdma.AsyncEndpoint); ok && !m.Unbatched && !m.Borrowed {
+	if a, ok := m.doorbell(); ok {
 		a.PostWrite(p.Add(8), body)
 		a.PostFetchAdd(p, 1)
 		a.Flush()
@@ -302,6 +349,15 @@ func (m *EndpointMem) WriteUnlock(p rdma.RemotePtr, body []uint64) Publish {
 	}
 	prior, err := m.Ep.FetchAdd(p, 1)
 	return Publish{Prior: prior, UnlockErr: err, Rounds: 2}
+}
+
+// doorbell returns Ep's native post/poll surface when this Mem may ring
+// doorbells of its own on it. Endpoints without one get blocking verbs, not
+// an rdma.Async adapter: the adapter would run the same verbs one by one and
+// cost an allocation per wrap.
+func (m *EndpointMem) doorbell() (rdma.AsyncEndpoint, bool) {
+	a, ok := m.Ep.(rdma.AsyncEndpoint)
+	return a, ok && !m.Unbatched && !m.Borrowed
 }
 
 // LoadWord implements Mem.
@@ -322,10 +378,50 @@ func (m *EndpointMem) FetchAdd(p rdma.RemotePtr, delta uint64) (uint64, error) {
 	return m.Ep.FetchAdd(p, delta)
 }
 
-// AllocPage implements Mem using the RDMA_ALLOC verb on the server chosen by
-// the placement policy.
-func (m *EndpointMem) AllocPage(level int, n int) (rdma.RemotePtr, error) {
-	return m.Ep.Alloc(m.Place(level), n)
+// AllocPages implements Mem using the RDMA_ALLOC verb on the servers chosen
+// by the placement policy. One page is one verb. For more, it walks the
+// placement sequence first, then reserves each server's share in extents of
+// at most maxExtentBytes and carves them up in sequence order: a server's
+// bump allocator hands consecutive calls consecutive blocks, so the pages
+// land where one call per page would have put them, as long as the
+// allocator has no freed pages of that size to hand out first — true of
+// every server a bulk load runs on.
+func (m *EndpointMem) AllocPages(level int, n int, ps []rdma.RemotePtr) error {
+	if len(ps) == 1 {
+		var err error
+		ps[0], err = m.Ep.Alloc(m.Place(level), n)
+		return err
+	}
+	servers := m.Ep.NumServers()
+	if cap(m.want) < servers {
+		m.want, m.ext = make([]int, servers), make([]extent, servers)
+	}
+	m.want, m.ext = m.want[:servers], m.ext[:servers]
+	clear(m.want)
+	clear(m.ext)
+	for i := range ps {
+		s := m.Place(level)
+		ps[i] = rdma.MakePtr(s, 0) // names the page's server until it is carved
+		m.want[s]++
+	}
+	stride := (n + 7) &^ 7 // the allocator's block size for n
+	for i, p := range ps {
+		s := p.Server()
+		e := &m.ext[s]
+		if e.pages == 0 {
+			k := min(m.want[s], maxExtentBytes/stride)
+			base, err := m.Ep.Alloc(s, k*stride)
+			if err != nil {
+				return err
+			}
+			*e = extent{next: base, pages: k}
+			m.want[s] -= k
+		}
+		ps[i] = e.next
+		e.next = e.next.Add(uint64(stride))
+		e.pages--
+	}
+	return nil
 }
 
 // FreePage implements Mem.
@@ -357,6 +453,31 @@ func (m *EndpointMem) ReadPages(ps []rdma.RemotePtr, dst [][]uint64, versions []
 		m.batchDst = append(m.batchDst, versions[i:i+1])
 	}
 	return m.Ep.ReadMulti(m.batchPtrs, m.batchDst)
+}
+
+// WritePages implements Mem: all WRITEs in one doorbell where Ep can post,
+// one blocking WRITE each otherwise.
+func (m *EndpointMem) WritePages(ps []rdma.RemotePtr, srcs [][]uint64) error {
+	a, ok := m.doorbell()
+	if !ok {
+		for i, p := range ps {
+			if err := m.Ep.Write(p, srcs[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i, p := range ps {
+		a.PostWrite(p, srcs[i])
+	}
+	a.Flush()
+	m.comps = a.Poll(m.comps[:0])
+	for _, c := range m.comps {
+		if c.Err != nil {
+			return c.Err
+		}
+	}
+	return nil
 }
 
 // ReplicaLocalMem is a Mem over the local region of a memory server that
@@ -426,14 +547,10 @@ func (m ReplicaLocalMem) FetchAdd(p rdma.RemotePtr, delta uint64) (uint64, error
 	return m.Srv.Region.FetchAdd(m.check(p), delta), nil
 }
 
-// AllocPage implements Mem: new pages come from the local server's own
+// AllocPages implements Mem: new pages come from the local server's own
 // slab and are addressed at the local server.
-func (m ReplicaLocalMem) AllocPage(level int, n int) (rdma.RemotePtr, error) {
-	off, err := m.Srv.Alloc.Alloc(n)
-	if err != nil {
-		return rdma.NullPtr, err
-	}
-	return rdma.MakePtr(m.Srv.ID, off), nil
+func (m ReplicaLocalMem) AllocPages(level int, n int, ps []rdma.RemotePtr) error {
+	return allocLocal(m.Srv, n, ps)
 }
 
 // FreePage implements Mem: only locally-allocated pages can be returned;
@@ -452,6 +569,14 @@ func (m ReplicaLocalMem) ReadPages(ps []rdma.RemotePtr, dst [][]uint64, versions
 		off := m.check(p)
 		m.Srv.Region.Read(off, dst[i])
 		versions[i] = m.Srv.Region.Load(off)
+	}
+	return nil
+}
+
+// WritePages implements Mem.
+func (m ReplicaLocalMem) WritePages(ps []rdma.RemotePtr, srcs [][]uint64) error {
+	for i, p := range ps {
+		m.Srv.Region.Write(m.check(p), srcs[i])
 	}
 	return nil
 }

@@ -202,6 +202,7 @@ type Traversal struct {
 	freshBuf []uint64
 	vbuf     [1]uint64
 	rootBuf  [1]uint64
+	allocBuf [1]rdma.RemotePtr
 }
 
 // NewTraversal allocates a traversal slot against the given tree handle.
@@ -637,7 +638,7 @@ func (tr *Traversal) handleLock(c rdma.Completion, sink PostSink) StepResult {
 // right half goes to a freshly allocated page, the left half is rewritten in
 // place, and the separator install follows the left half's publish.
 func (tr *Traversal) splitLeaf(n layout.Node, sink PostSink) StepResult {
-	rp, err := tr.t.M.AllocPage(0, tr.t.L.PageBytes)
+	rp, err := tr.allocFresh(0)
 	if err != nil {
 		return tr.release(err)
 	}
@@ -658,6 +659,12 @@ func (tr *Traversal) splitLeaf(n layout.Node, sink PostSink) StepResult {
 	tr.fresh = rp
 	tr.owe(1, sep)
 	return tr.post(phFresh, sink)
+}
+
+// allocFresh allocates the page a split or root growth installs at level.
+func (tr *Traversal) allocFresh(level int) (rdma.RemotePtr, error) {
+	err := tr.t.M.AllocPages(level, tr.t.L.PageBytes, tr.allocBuf[:])
+	return tr.allocBuf[0], err
 }
 
 // freshPage returns the buffer a split or root growth builds its new page
@@ -862,7 +869,7 @@ func (tr *Traversal) sepLocked(n layout.Node, sink PostSink) StepResult {
 	}
 	// Target inner node full: split it (same B-link discipline), cut in the
 	// correct half, then install the new separator one level up.
-	rp, err := tr.t.M.AllocPage(tr.level, tr.t.L.PageBytes)
+	rp, err := tr.allocFresh(tr.level)
 	if err != nil {
 		return tr.release(err)
 	}
@@ -916,7 +923,7 @@ func (tr *Traversal) sepNext(sink PostSink) StepResult {
 // growRoot installs a new root above left/right: build it on a fresh page,
 // write it, then CAS it into the root word.
 func (tr *Traversal) growRoot(sink PostSink) StepResult {
-	np, err := tr.t.M.AllocPage(tr.level, tr.t.L.PageBytes)
+	np, err := tr.allocFresh(tr.level)
 	if err != nil {
 		return tr.fail(err)
 	}

@@ -132,10 +132,11 @@ func New(l layout.Layout, m Mem, rootWord rdma.RemotePtr) *Tree {
 // RootWord. It must be called exactly once per tree, before any other
 // operation and before concurrent access begins.
 func (t *Tree) Init(env rdma.Env) error {
-	p, err := t.M.AllocPage(0, t.L.PageBytes)
-	if err != nil {
+	var ps [1]rdma.RemotePtr
+	if err := t.M.AllocPages(0, t.L.PageBytes, ps[:]); err != nil {
 		return err
 	}
+	p := ps[0]
 	n := t.L.NewNode()
 	n.InitLeaf()
 	if err := t.M.WriteWords(p, n.W); err != nil {

@@ -300,9 +300,18 @@ func (m *Mem) invalidateCovering(p rdma.RemotePtr) {
 	}
 }
 
-// AllocPage implements btree.Mem.
-func (m *Mem) AllocPage(level int, n int) (rdma.RemotePtr, error) {
-	return m.inner.AllocPage(level, n)
+// AllocPages implements btree.Mem.
+func (m *Mem) AllocPages(level int, n int, ps []rdma.RemotePtr) error {
+	return m.inner.AllocPages(level, n, ps)
+}
+
+// WritePages implements btree.Mem; like WriteWords, each write invalidates
+// its page.
+func (m *Mem) WritePages(ps []rdma.RemotePtr, srcs [][]uint64) error {
+	for _, p := range ps {
+		m.invalidateCovering(p)
+	}
+	return m.inner.WritePages(ps, srcs)
 }
 
 // FreePage implements btree.Mem.

@@ -37,6 +37,11 @@ func memDrop(m btree.Mem, p rdma.RemotePtr, dst []uint64) {
 	m.ReadWords(p, dst) // want "error of Mem.ReadWords is discarded"
 }
 
+func memBatchDrop(m btree.Mem, ps []rdma.RemotePtr, srcs [][]uint64) {
+	m.AllocPages(0, 512, ps) // want "error of Mem.AllocPages is discarded"
+	m.WritePages(ps, srcs)   // want "error of Mem.WritePages is discarded"
+}
+
 func okHandled(ep rdma.Endpoint, p rdma.RemotePtr, dst []uint64) error {
 	if err := ep.Read(p, dst); err != nil {
 		return err

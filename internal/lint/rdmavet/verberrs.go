@@ -28,9 +28,10 @@ var memVerbs = map[string]bool{
 	"LoadWord":      true,
 	"CAS":           true,
 	"FetchAdd":      true,
-	"AllocPage":     true,
+	"AllocPages":    true,
 	"FreePage":      true,
 	"ReadPages":     true,
+	"WritePages":    true,
 }
 
 // NewVerbErrs builds the verberrs analyzer.

@@ -71,6 +71,16 @@ func (m *Mem) WriteWords(p rdma.RemotePtr, src []uint64) error {
 	return err
 }
 
+// WritePages implements btree.Mem, recording each page's write as
+// WriteWords does.
+func (m *Mem) WritePages(ps []rdma.RemotePtr, srcs [][]uint64) error {
+	err := m.Inner.WritePages(ps, srcs)
+	for i, p := range ps {
+		m.Log.Event(EvWrite, uint64(p), uint64(len(srcs[i])))
+	}
+	return err
+}
+
 // WriteUnlock implements btree.Mem, recording the pair as its two events:
 // the body write, then the unlock with its own outcome.
 func (m *Mem) WriteUnlock(p rdma.RemotePtr, body []uint64) btree.Publish {
@@ -121,11 +131,17 @@ func (m *Mem) FetchAdd(p rdma.RemotePtr, delta uint64) (uint64, error) {
 	return prev, err
 }
 
-// AllocPage implements btree.Mem.
-func (m *Mem) AllocPage(level int, n int) (rdma.RemotePtr, error) {
-	p, err := m.Inner.AllocPage(level, n)
-	m.Log.Event(EvAlloc, uint64(p), uint64(level))
-	return p, err
+// AllocPages implements btree.Mem, recording one event per page, or one
+// null-page event when the allocation failed.
+func (m *Mem) AllocPages(level int, n int, ps []rdma.RemotePtr) error {
+	if err := m.Inner.AllocPages(level, n, ps); err != nil {
+		m.Log.Event(EvAlloc, uint64(rdma.NullPtr), uint64(level))
+		return err
+	}
+	for _, p := range ps {
+		m.Log.Event(EvAlloc, uint64(p), uint64(level))
+	}
+	return nil
 }
 
 // FreePage implements btree.Mem.

@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -620,8 +621,23 @@ func (e *Endpoint) ReadMulti(ps []rdma.RemotePtr, dst [][]uint64) error {
 	return nil
 }
 
-// Alloc implements rdma.Endpoint.
+// blockSize checks that n fits the u32 size field of the alloc and free
+// frames. Truncated, a request for 4 GiB + 1 KB would allocate 1 KB and hand
+// the rest of its words to the next caller too; a negative n would ask for
+// about 4 GiB.
+func blockSize(n int) error {
+	if n <= 0 || uint64(n) > math.MaxUint32 {
+		return fmt.Errorf("tcpnet: block size %d outside the wire's (0, %d] bytes", n, uint32(math.MaxUint32))
+	}
+	return nil
+}
+
+// Alloc implements rdma.Endpoint. A size the frame cannot carry is refused
+// before anything is sent.
 func (e *Endpoint) Alloc(server int, n int) (rdma.RemotePtr, error) {
+	if err := blockSize(n); err != nil {
+		return rdma.NullPtr, err
+	}
 	body, err := e.roundTrip(server, order.AppendUint32(beginFrame(e.enc, opAlloc), uint32(n)))
 	if err != nil {
 		return rdma.NullPtr, err
@@ -632,10 +648,14 @@ func (e *Endpoint) Alloc(server int, n int) (rdma.RemotePtr, error) {
 	return rdma.MakePtr(server, order.Uint64(body)), nil
 }
 
-// Free implements rdma.Endpoint.
+// Free implements rdma.Endpoint. Like Alloc, it refuses a size the frame
+// cannot carry before anything is sent.
 func (e *Endpoint) Free(p rdma.RemotePtr, n int) error {
 	if p.IsNull() {
 		return fmt.Errorf("tcpnet: null pointer")
+	}
+	if err := blockSize(n); err != nil {
+		return err
 	}
 	f := order.AppendUint64(beginFrame(e.enc, opFree), p.Offset())
 	_, err := e.roundTrip(p.Server(), order.AppendUint32(f, uint32(n)))
@@ -666,7 +686,8 @@ func (e *Endpoint) Catalog(server int) ([]byte, error) {
 // batch whose requests and whose replies both exceed what the socket and
 // the peer's 64 KB buffers hold would stall both ends in write. The engine's
 // at most 32 slots of a few 1 KB verbs each stay orders of magnitude below
-// it.
+// it, and so do the bulk load's 64-page WRITE batches, whose replies are 5
+// bytes each.
 
 var _ rdma.AsyncEndpoint = (*Endpoint)(nil)
 

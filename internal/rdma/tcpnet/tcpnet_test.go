@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"net"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -79,6 +80,40 @@ func TestAllocFreeOverTCP(t *testing.T) {
 	}
 	if ptr2 != ptr {
 		t.Fatalf("freed block not reused: %v vs %v", ptr2, ptr)
+	}
+}
+
+// TestAllocFreeRejectUnencodableSizes pins that a block size the u32 field
+// of the alloc and free frames cannot carry fails at the endpoint: nothing
+// is sent, and the agent's allocator watermark does not move.
+func TestAllocFreeRejectUnencodableSizes(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("sizes above 4 GiB need a 64-bit int")
+	}
+	addrs, agents := startCluster(t, 1, nil)
+	alloc := agents[0].srv.Alloc
+	ep := Dial(addrs)
+	defer ep.Close()
+	mark := alloc.Watermark()
+	for _, n := range []int{0, -1, -1024, int(uint64(1) << 32), int(uint64(1)<<32 + 1024)} {
+		if p, err := ep.Alloc(0, n); err == nil {
+			t.Errorf("Alloc(%d) = %v; want an error", n, p)
+		}
+		if err := ep.Free(rdma.MakePtr(0, mark), n); err == nil {
+			t.Errorf("Free(%d) succeeded; want an error", n)
+		}
+	}
+	if ep.conns[0] != nil {
+		t.Error("a refused size reached the wire")
+	}
+	if got := alloc.Watermark(); got != mark {
+		t.Fatalf("watermark moved from %d to %d", mark, got)
+	}
+	if _, err := ep.Alloc(0, 1024); err != nil {
+		t.Fatal(err)
+	}
+	if got := alloc.Watermark(); got != mark+1024 {
+		t.Fatalf("watermark %d after a 1 KB alloc from %d", got, mark)
 	}
 }
 
